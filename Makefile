@@ -4,8 +4,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-fast test-equivalence test-backend test-telemetry \
-	test-faults test-lint test-noise lint typecheck bench-smoke \
-	bench-batch bench-fleet bench-traces bench-plan bench-backend \
+	test-faults test-lint test-noise lint typecheck bench bench-trace \
+	bench-smoke bench-batch bench-fleet bench-traces bench-backend \
 	bench-offline bench-telemetry bench-faults bench-noise benchmarks
 
 # Tier-1 verify: the full suite, fail-fast.
@@ -64,6 +64,21 @@ typecheck:
 		&& $(PY) -m mypy --config-file mypy.ini \
 		|| echo "mypy not installed; skipping (pip install repro[dev])"
 
+# The fleet benchmark (fleetbench/, declared by BENCHMARK.json): one
+# named workload W (demo-1d, month-31d, gap-1d, noisy-random-2w) at
+# seed SEED.  `bench` repeats fresh-interpreter untraced runs for 30 s
+# and prints the end-to-end metrics; `bench-trace` prints the
+# per-layer spans.  Both check records against digests.json and the
+# scalar oracle, and end with one JSON line.
+W ?= month-31d
+SEED ?= 0
+
+bench:
+	python3 fleetbench/run.py --workload $(W) --seed $(SEED) --seconds 30 --trace 0
+
+bench-trace:
+	python3 fleetbench/run.py --workload $(W) --seed $(SEED) --seconds 30 --trace 1
+
 # Tiny batch-vs-serial canary: fails if the batch engine errors,
 # diverges from the scalar engine, or regresses past 2x serial.
 bench-smoke:
@@ -83,11 +98,6 @@ bench-fleet:
 # BENCH_traces.json.
 bench-traces:
 	$(PY) benchmarks/bench_traces.py
-
-# Planning boundary: scalar-loop planning vs the vectorized batch
-# planning layer, per stage and end-to-end; writes BENCH_plan.json.
-bench-plan:
-	$(PY) benchmarks/bench_plan.py
 
 # Array-backend layer: allocation-style reference vs the preallocated
 # slot-workspace path, per stage and end-to-end per backend (CuPy/JAX

@@ -38,23 +38,33 @@ Two variants, matching the P5 objective modes:
   (:func:`_base_grids`) plus the deferred-pool / waterfall /
   battery-tier crossings located on that grid
   (:func:`_deferred_breakpoints`) — evaluating every scenario's whole
-  candidate set in one tensor pass (:func:`solve_p4_many` batches the
-  scenarios of a coarse boundary; :func:`solve_p4` is its
-  single-scenario case).  Because
-  the whole window is priced, the plan buys more on cheap contract
-  days and less on expensive ones — the cross-day arbitrage the
-  two-timescale market structure exists for — with no future
-  statistics beyond the just-observed window.
+  candidate set in one tensor pass.  Because the whole window is
+  priced, the plan buys more on cheap contract days and less on
+  expensive ones — the cross-day arbitrage the two-timescale market
+  structure exists for — with no future statistics beyond the
+  just-observed window.
+
+Data layout: the solver works on a :class:`P4Batch`, a struct of
+arrays holding ``B`` subproblems of one window width ``W`` (every
+field shaped ``(B,)`` or ``(B, W)``).  The batch engine builds it
+straight from its state arrays
+(:meth:`repro.core.smartdpss_vec.VecSmartDPSS.prepare_plan_batch`) and
+:func:`solve_p4_many` returns ``(B,)`` delivery rates.  The scalar
+controller's :class:`P4State` record enters through
+:meth:`P4Batch.from_states`, and :func:`solve_p4` is the ``B = 1``
+call of the same kernel, so both engines share every floating-point
+operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.config.control import ObjectiveMode
+from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -110,26 +120,163 @@ class P4Solution:
     floor_rate: float
 
 
-def _floor_rate(state: P4State) -> float:
-    """Feasibility floor: cover ``dds`` net of renewables and battery."""
-    return max(0.0, state.demand_ds - state.renewable
-               - state.discharge_avail)
+@dataclass(frozen=True, eq=False)
+class P4Batch:
+    """``B`` P4 subproblems sharing one window width ``W``.
+
+    Every field is already shaped ``(B, W)`` (the window profiles) or
+    ``(B,)`` (one value per scenario), so one tensor pass evaluates
+    all scenarios of a coarse boundary at once.  ``len(batch)`` is
+    ``B``.  Build it with :meth:`assemble` (the array producer) or
+    :meth:`from_states` (scalar records); both run the same array
+    expressions, which is what keeps the engines bit-identical.
+    """
+
+    nets: np.ndarray            # (B, W) observed net demand dds − r
+    prices: np.ndarray          # (B, W) normalized real-time prices
+    t_slots: np.ndarray         # (B,) fine slots per coarse slot
+    v: np.ndarray
+    price_lt: np.ndarray
+    p_grid: np.ndarray
+    q_hat: np.ndarray
+    y_hat: np.ndarray
+    battery_value: np.ndarray   # −X̂·ηc (charge credit per MWh)
+    headroom_total: np.ndarray  # total battery charge headroom
+    waste_penalty: np.ndarray
+    pools: np.ndarray           # deferred energy the plan sizes for
+    floors: np.ndarray          # feasibility floor, capped at Pgrid
+
+    def __len__(self) -> int:
+        return self.nets.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Window width ``W``."""
+        return self.nets.shape[1]
+
+    @property
+    def scale(self) -> np.ndarray:
+        """Fine slots represented by one window slot, ``T / W``."""
+        return self.t_slots / self.n
+
+    @classmethod
+    def assemble(cls, *, profile_demand_ds: np.ndarray,
+                 profile_renewable: np.ndarray,
+                 profile_demand_dt: np.ndarray,
+                 prices: np.ndarray, t_slots: np.ndarray,
+                 v: np.ndarray, price_lt: np.ndarray,
+                 p_grid: np.ndarray, q_hat: np.ndarray,
+                 y_hat: np.ndarray, x_hat: np.ndarray,
+                 eta_c: np.ndarray, demand_ds: np.ndarray,
+                 renewable: np.ndarray, discharge_avail: np.ndarray,
+                 charge_headroom_total: np.ndarray,
+                 waste_penalty: np.ndarray, s_dt_max: np.ndarray,
+                 plan_deferrable_arrivals: np.ndarray) -> "P4Batch":
+        """Derive the solver's fields from the raw planning arrays.
+
+        ``profile_demand_dt`` may be narrower or wider than the other
+        profiles (zero columns are exact no-ops); its rows are summed
+        column by column in slot order — the IEEE-754 additions of a
+        left-to-right ``sum`` — because NumPy's pairwise row sum
+        rounds differently once a window reaches 8 slots.
+        """
+        scale = t_slots / profile_demand_ds.shape[1]
+        arrivals = np.zeros(len(q_hat))
+        if plan_deferrable_arrivals.any():
+            for column in range(profile_demand_dt.shape[1]):
+                arrivals += profile_demand_dt[:, column]
+            arrivals = np.where(plan_deferrable_arrivals,
+                                arrivals * scale, 0.0)
+        floors = np.maximum(0.0, demand_ds - renewable - discharge_avail)
+        return cls(
+            nets=profile_demand_ds - profile_renewable,
+            prices=prices,
+            t_slots=t_slots,
+            v=v,
+            price_lt=price_lt,
+            p_grid=p_grid,
+            q_hat=q_hat,
+            y_hat=y_hat,
+            battery_value=-x_hat * eta_c,
+            headroom_total=charge_headroom_total,
+            waste_penalty=waste_penalty,
+            pools=np.minimum(q_hat + arrivals, s_dt_max * t_slots),
+            floors=np.minimum(floors, p_grid),
+        )
+
+    @classmethod
+    def from_states(cls, states: Sequence[P4State]) -> "P4Batch":
+        """Stack scalar records of one window width into a batch.
+
+        A record without profiles plans against its window means
+        (``W = 1``); a price profile of the wrong width falls back to
+        the contract price.
+        """
+        n = _window_length(states[0])
+        if any(_window_length(state) != n for state in states):
+            raise ConfigurationError(
+                "P4Batch.from_states needs one window width")
+        count = len(states)
+        demand_ds = np.empty((count, n))
+        renewable = np.empty((count, n))
+        prices = np.empty((count, n))
+        demand_dt = np.zeros((count, max(len(state.profile_demand_dt)
+                                         for state in states)))
+        for index, state in enumerate(states):
+            if state.profile_demand_ds and state.profile_renewable:
+                demand_ds[index] = state.profile_demand_ds
+                renewable[index] = state.profile_renewable
+            else:
+                demand_ds[index] = state.demand_ds
+                renewable[index] = state.renewable
+            if len(state.profile_price_rt) == n:
+                prices[index] = state.profile_price_rt
+            else:
+                prices[index] = state.price_lt
+            demand_dt[index, :len(state.profile_demand_dt)] = \
+                state.profile_demand_dt
+
+        def column(name: str) -> np.ndarray:
+            return np.array([float(getattr(state, name))
+                             for state in states])
+
+        return cls.assemble(
+            profile_demand_ds=demand_ds,
+            profile_renewable=renewable,
+            profile_demand_dt=demand_dt,
+            prices=prices,
+            t_slots=column("t_slots"),
+            v=column("v"),
+            price_lt=column("price_lt"),
+            p_grid=column("p_grid"),
+            q_hat=column("q_hat"),
+            y_hat=column("y_hat"),
+            x_hat=column("x_hat"),
+            eta_c=column("eta_c"),
+            demand_ds=column("demand_ds"),
+            renewable=column("renewable"),
+            discharge_avail=column("discharge_avail"),
+            charge_headroom_total=column("charge_headroom_total"),
+            waste_penalty=column("waste_penalty"),
+            s_dt_max=column("s_dt_max"),
+            plan_deferrable_arrivals=np.array(
+                [state.plan_deferrable_arrivals for state in states],
+                dtype=bool),
+        )
 
 
-def _deferrable_pool(state: P4State, scale: float) -> float:
-    """Deferred energy the plan sizes for (backlog, plus arrivals if on)."""
-    arrivals = 0.0
-    if state.plan_deferrable_arrivals and state.profile_demand_dt:
-        arrivals = sum(state.profile_demand_dt) * scale
-    return min(state.q_hat + arrivals,
-               state.s_dt_max * state.t_slots)
+def _window_length(state: P4State) -> int:
+    """``len(state.net_profile)`` without materializing the tuple."""
+    if state.profile_demand_ds and state.profile_renewable:
+        return len(state.profile_demand_ds)
+    return 1
 
 
 #: Cache of step vectors ``[0, 1, …, count−1]`` keyed by length (P4
-#: solves run once per scenario per coarse boundary; the windows reuse
-#: a handful of lengths).  Bounded: a long mixed-``T`` sweep evicts
-#: the oldest entry past the cap instead of growing without bound
-#: (see :func:`repro.caches.clear_caches`).
+#: solves run once per coarse boundary; the windows reuse a handful of
+#: lengths).  Bounded: a long mixed-``T`` sweep evicts the oldest
+#: entry past the cap instead of growing without bound (see
+#: :func:`repro.caches.clear_caches`).
 _STEP_CACHE: dict[int, np.ndarray] = {}
 
 #: Maximum retained step vectors.
@@ -145,91 +292,10 @@ def _steps(count: int) -> np.ndarray:
     return steps
 
 
-class _StackedWindows(NamedTuple):
-    """Derived-mode inputs for a group of same-length windows.
-
-    Every field is stacked over the scenario axis so one tensor pass
-    evaluates all scenarios of a coarse boundary at once; a single
-    scenario is simply the ``count == 1`` case of the same code path,
-    which is what keeps the scalar and batch engines bit-identical.
-    """
-
-    count: int
-    n: int
-    nets: np.ndarray            # (count, n)
-    prices: np.ndarray          # (count, n)
-    scale: np.ndarray           # (count,)
-    t_slots: np.ndarray
-    v: np.ndarray
-    price_lt: np.ndarray
-    p_grid: np.ndarray
-    q_hat: np.ndarray
-    y_hat: np.ndarray
-    battery_value: np.ndarray   # −X̂·ηc (charge credit per MWh)
-    headroom_total: np.ndarray  # charge_headroom_total
-    waste_penalty: np.ndarray
-    pools: np.ndarray
-    floors: np.ndarray
-
-
-def _window_length(state: P4State) -> int:
-    """``len(state.net_profile)`` without materializing the tuple."""
-    if state.profile_demand_ds and state.profile_renewable:
-        return len(state.profile_demand_ds)
-    return 1
-
-
-def _stack_windows(states: Sequence[P4State]) -> _StackedWindows:
-    n = _window_length(states[0])
-    count = len(states)
-    nets = np.empty((count, n))
-    prices = np.empty((count, n))
-    for index, state in enumerate(states):
-        # The row is ``net_profile`` computed in array form: same
-        # elementwise IEEE-754 subtraction, no per-element Python.
-        if state.profile_demand_ds and state.profile_renewable:
-            np.subtract(state.profile_demand_ds,
-                        state.profile_renewable, out=nets[index])
-        else:
-            nets[index] = state.demand_ds - state.renewable
-        if len(state.profile_price_rt) == n:
-            prices[index] = state.profile_price_rt
-        else:
-            prices[index] = state.price_lt
-
-    # One pass over the states gathers every scalar field (the values
-    # are identical to ten separate per-field pulls, just batched).
-    scalars = np.array([
-        (float(s.t_slots), s.v, s.price_lt, s.p_grid, s.q_hat, s.y_hat,
-         -s.x_hat * s.eta_c, s.charge_headroom_total, s.waste_penalty,
-         _deferrable_pool(s, s.t_slots / n),
-         min(_floor_rate(s), s.p_grid))
-        for s in states])
-    t_slots = scalars[:, 0]
-    return _StackedWindows(
-        count=count,
-        n=n,
-        nets=nets,
-        prices=prices,
-        scale=t_slots / n,
-        t_slots=t_slots,
-        v=scalars[:, 1],
-        price_lt=scalars[:, 2],
-        p_grid=scalars[:, 3],
-        q_hat=scalars[:, 4],
-        y_hat=scalars[:, 5],
-        battery_value=scalars[:, 6],
-        headroom_total=scalars[:, 7],
-        waste_penalty=scalars[:, 8],
-        pools=scalars[:, 9],
-        floors=scalars[:, 10],
-    )
-
-
-def _window_values(w: _StackedWindows, rates: np.ndarray) -> np.ndarray:
+def _window_values(w: P4Batch, rates: np.ndarray) -> np.ndarray:
     """Certainty-equivalent window cost at every ``(scenario, rate)``.
 
-    ``rates`` is ``(count, C)``; the cost components are the array form
+    ``rates`` is ``(B, C)``; the cost components are the array form
     of the rules in the module docstring — per-slot deficits topped up
     at that hour's price, the deferred pool served from surplus then
     from the cheapest observed hours within the per-window headroom (a
@@ -237,13 +303,11 @@ def _window_values(w: _StackedWindows, rates: np.ndarray) -> np.ndarray:
     waste.  All reductions run over the last, contiguous axis (window
     slots), so each ``(scenario, rate)`` lane's result is independent
     of how many other lanes are evaluated alongside it — the scalar
-    solver is literally the ``count == 1`` call of this kernel.
+    solver is literally the ``B == 1`` call of this kernel.
 
-    Deliberately host-side NumPy: the ``P4State`` records feeding it
-    are assembled from host floats by contract (see ROADMAP), the
-    pass runs at boundary rate (once per coarse slot, not per fine
-    slot), and the downstream scan finalizes scalar solutions — so
-    there is no device residency to preserve here.
+    Deliberately host-side NumPy: the pass runs at boundary rate (once
+    per coarse slot, not per fine slot) on a few hundred small rows,
+    so there is no device residency to preserve here.
     """
     gap = w.nets[:, None, :] - rates[:, :, None]
     deficits = np.maximum(gap, 0.0)
@@ -289,7 +353,7 @@ def _window_values(w: _StackedWindows, rates: np.ndarray) -> np.ndarray:
     return cost + (w.v * w.waste_penalty)[:, None] * leftover
 
 
-def _base_grids(w: _StackedWindows) -> np.ndarray:
+def _base_grids(w: P4Batch) -> np.ndarray:
     """Sorted, deduplicated base candidate grids, one row per scenario.
 
     Each row is ``{floor, Pgrid} ∪ (net profile ∩ [floor, Pgrid])``
@@ -310,8 +374,7 @@ def _base_grids(w: _StackedWindows) -> np.ndarray:
     return np.where(np.isinf(grid), w.p_grid[:, None], grid)
 
 
-def _deferred_breakpoints(w: _StackedWindows,
-                          grids: np.ndarray) -> np.ndarray:
+def _deferred_breakpoints(w: P4Batch, grids: np.ndarray) -> np.ndarray:
     """Candidate rates where the deferred-service cost changes slope.
 
     The per-slot deficit/surplus terms kink only at the net-profile
@@ -329,7 +392,7 @@ def _deferred_breakpoints(w: _StackedWindows,
     ``surplus + k·headroom = pool`` — and surplus and headroom are
     both linear between base candidates, so one sign-flip
     interpolation pass over the grids locates every crossing exactly.
-    Returns a ``(count, X)`` matrix padded with ``Pgrid`` duplicates
+    Returns a ``(B, X)`` matrix padded with ``Pgrid`` duplicates
     (or an empty one when no scenario has a crossing).
     """
     gap = w.nets[:, None, :] - grids[:, :, None]
@@ -354,105 +417,74 @@ def _deferred_breakpoints(w: _StackedWindows,
              & active[:, :, None])
     scen, row, seg = np.nonzero(flips)
     if scen.size == 0:
-        return np.empty((w.count, 0))
+        return np.empty((len(w), 0))
 
     f0, f1 = f[scen, row, seg], f[scen, row, seg + 1]
     r0, r1 = grids[scen, seg], grids[scen, seg + 1]
     crossings = r0 - f0 * (r1 - r0) / (f1 - f0)
 
-    counts = np.bincount(scen, minlength=w.count)
+    counts = np.bincount(scen, minlength=len(w))
     offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
     padded = np.repeat(w.p_grid[:, None], int(counts.max()), axis=1)
     padded[scen, np.arange(scen.size) - offsets[scen]] = crossings
     return padded
 
 
-def _scan(w: _StackedWindows, candidates: np.ndarray,
-          values: np.ndarray) -> np.ndarray:
-    """Per-scenario selection with the scalar scan's tie-breaking.
+def _scan(candidates: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-scenario selection with the reference tie-breaking rule.
 
-    The reference scan accepts a candidate only when it improves the
-    incumbent by more than 1e-12 (earlier candidates keep ties); when
-    no value lies strictly inside ``(min, min + 1e-12]`` that scan
-    provably selects the first minimizer, so argmin covers the common
-    case and ambiguous rows replay the exact cascade.
+    The reference scan walks the candidates in order and accepts one
+    only when it improves the incumbent by more than 1e-12, so earlier
+    candidates keep near-ties.  Sweeping the columns with that rule,
+    vectorized over the rows, reproduces it exactly for every row.
     """
-    minimum = values.min(axis=1)
-    rows = values.argmin(axis=1)
-    gap_zone = ((values <= (minimum + 1e-12)[:, None])
-                & (values != minimum[:, None]))
-    for index in np.nonzero(gap_zone.any(axis=1))[0]:
-        best_value = float("inf")
-        best_row = 0
-        for row, value in enumerate(values[index].tolist()):
-            if value < best_value - 1e-12:
-                best_value = value
-                best_row = row
-        rows[index] = best_row
-    return candidates[np.arange(w.count), rows]
+    best = np.full(values.shape[0], np.inf)
+    rows = np.zeros(values.shape[0], dtype=np.intp)
+    for column in range(values.shape[1]):
+        value = values[:, column]
+        better = value < best - 1e-12
+        np.copyto(best, value, where=better)
+        np.copyto(rows, column, where=better)
+    return candidates[np.arange(values.shape[0]), rows]
 
 
-def _solve_derived(states: Sequence[P4State]) -> list[P4Solution]:
-    """Exact derived-mode minimization for same-window-length states."""
-    w = _stack_windows(states)
-    grids = _base_grids(w)
-    extra = _deferred_breakpoints(w, grids)
+def _window_cost(state: P4State, rate: float) -> float:
+    """Window cost of a single rate (tests and candidate probing)."""
+    return float(_window_values(P4Batch.from_states([state]),
+                                np.array([[float(rate)]]))[0, 0])
+
+
+def solve_p4_many(batch: P4Batch,
+                  mode: ObjectiveMode = ObjectiveMode.DERIVED,
+                  ) -> np.ndarray:
+    """Solve P4 for every row of ``batch``; returns ``(B,)`` rates.
+
+    The advance purchase of row ``i`` is ``rates[i] * t_slots[i]``.
+    Paper mode is the bang-bang rule; derived mode is the exact 1-D
+    piecewise-linear minimization over the delivery rate, one tensor
+    pass for the whole batch.
+    """
+    if mode is ObjectiveMode.PAPER:
+        coefficient = batch.v * batch.price_lt - batch.q_hat - batch.y_hat
+        return np.where(coefficient < 0, batch.p_grid, batch.floors)
+    grids = _base_grids(batch)
+    extra = _deferred_breakpoints(batch, grids)
     if extra.shape[1]:
         candidates = np.sort(np.concatenate((grids, extra), axis=1),
                              axis=1)
     else:
         candidates = grids
-    rates = _scan(w, candidates, _window_values(w, candidates))
-    return [P4Solution(gbef=float(rate) * state.t_slots,
-                       rate=float(rate),
-                       floor_rate=float(floor))
-            for state, rate, floor in zip(states, rates.tolist(),
-                                          w.floors.tolist())]
-
-
-def _window_cost(state: P4State, rate: float) -> float:
-    """Window cost of a single rate (tests and candidate probing)."""
-    w = _stack_windows([state])
-    return float(_window_values(
-        w, np.array([[float(rate)]]))[0, 0])
+    return _scan(candidates, _window_values(batch, candidates))
 
 
 def solve_p4(state: P4State,
              mode: ObjectiveMode = ObjectiveMode.DERIVED) -> P4Solution:
-    """Solve the long-term-ahead purchasing subproblem."""
-    if mode is ObjectiveMode.PAPER:
-        floor = min(_floor_rate(state), state.p_grid)
-        coefficient = (state.v * state.price_lt
-                       - state.q_hat - state.y_hat)
-        rate = state.p_grid if coefficient < 0 else floor
-        return P4Solution(gbef=rate * state.t_slots, rate=rate,
-                          floor_rate=floor)
+    """Solve the long-term-ahead purchasing subproblem.
 
-    # Derived mode: exact 1-D piecewise-linear minimization over the
-    # delivery rate — the single-scenario case of the batched solver,
-    # so scalar and batch engines share every operation bit-for-bit.
-    return _solve_derived([state])[0]
-
-
-def solve_p4_many(states: Sequence[P4State],
-                  mode: ObjectiveMode = ObjectiveMode.DERIVED,
-                  ) -> list[P4Solution]:
-    """Solve P4 for many scenarios at once, in input order.
-
-    Scenarios are grouped by window length (scenarios advancing in
-    lockstep share it) and each group is evaluated as one tensor pass
-    — this is what keeps a batch simulation's planning stage off the
-    per-scenario Python path.  Results are identical to per-scenario
-    :func:`solve_p4` calls.
+    The single-scenario case of :func:`solve_p4_many`, so scalar and
+    batch engines share every operation bit-for-bit.
     """
-    if mode is ObjectiveMode.PAPER:
-        return [solve_p4(state, mode) for state in states]
-    groups: dict[int, list[int]] = {}
-    for index, state in enumerate(states):
-        groups.setdefault(_window_length(state), []).append(index)
-    solutions: list[P4Solution | None] = [None] * len(states)
-    for indices in groups.values():
-        solved = _solve_derived([states[i] for i in indices])
-        for index, solution in zip(indices, solved):
-            solutions[index] = solution
-    return solutions  # type: ignore[return-value]
+    batch = P4Batch.from_states([state])
+    rate = float(solve_p4_many(batch, mode)[0])
+    return P4Solution(gbef=rate * state.t_slots, rate=rate,
+                      floor_rate=float(batch.floors[0]))

@@ -177,11 +177,13 @@ class SmartDPSS(Controller):
     def prepare_plan(self, obs: CoarseObservation) -> P4State | None:
         """Freeze the interval weights and build the P4 subproblem.
 
-        Everything :meth:`plan_long_term` does *except* solving P4 —
-        split out so the batch engine can pool many scenarios' P4
-        solves into one call (:func:`repro.core.p4.solve_p4_many`).
-        Returns ``None`` when the long-term market is disabled (the
-        plan is then a zero purchase and there is nothing to solve).
+        Everything :meth:`plan_long_term` does *except* solving P4.
+        The batch engine's array twin is
+        :meth:`repro.core.smartdpss_vec.VecSmartDPSS.prepare_plan_batch`,
+        whose :class:`~repro.core.p4.P4Batch` equals
+        ``P4Batch.from_states`` of these records.  Returns ``None``
+        when the long-term market is disabled (the plan is then a zero
+        purchase and there is nothing to solve).
         """
         assert self.system is not None, "begin_horizon() not called"
         system = self.system

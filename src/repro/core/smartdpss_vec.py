@@ -18,19 +18,19 @@ structure now run in array form:
   rule, shift-point selection (``paper``/``operational`` modes mixed
   freely in one batch, via the array-capable
   :func:`~repro.core.bounds.compute_bounds`), weight freezing and the
-  battery feasibility terms are all ``(B,)`` array expressions;
-  per-scenario Python only assembles the
-  :class:`~repro.core.p4.P4State` records fed to the
-  :func:`~repro.core.p4.solve_p4_many` tensor pass (still the only P4
-  solver, whose single-scenario case is exactly ``solve_p4``).
+  battery feasibility terms are all ``(B,)`` array expressions, and
+  the P4 subproblems leave as one struct-of-arrays
+  :class:`~repro.core.p4.P4Batch`.  :func:`~repro.core.p4.solve_p4_many`
+  turns it into ``(B,)`` delivery rates in one tensor pass.  No
+  per-scenario record is built anywhere on this path.
 
-The scalar instances remain the *reference*: ``batch_planning=False``
-routes planning through genuine per-scenario ``prepare_plan`` calls
-(state synced through the queues' explicit ``state()`` /
-``load_state()`` APIs — no private-attribute surgery), and
+The scalar instances are kept only for introspection:
 :meth:`finalize` rebuilds every instance's post-run state from the
-arrays so introspection (virtual-queue peaks, frozen weights, price
-mean) matches a scalar run exactly whichever path planned.
+arrays (through the queues' explicit ``load_state()`` APIs) so
+virtual-queue peaks, frozen weights and the price mean match a scalar
+run exactly.  The reference for the whole controller is the scalar
+:class:`~repro.core.smartdpss.SmartDPSS` run by the scalar
+``Simulator``.
 
 Exactness contract: a batch of ``B`` scenarios produces bit-identical
 decisions to ``B`` scalar ``SmartDPSS`` runs (enforced by
@@ -56,17 +56,13 @@ from repro.backend.workspace import (
 from repro.config.control import SmartDPSSConfig
 from repro.core.bounds import BoundVariant, SystemArrays, compute_bounds
 from repro.core.interfaces import BatchCoarseObservation
-from repro.core.p4 import P4State, solve_p4_many
+from repro.core.p4 import P4Batch, solve_p4_many
 from repro.core.p5_vec import N_CANDIDATES, BatchSlotState, solve_p5_batch
 from repro.core.smartdpss import SmartDPSS
 from repro.core.virtual_queues import operational_shift, paper_shift
 from repro.exceptions import ConfigurationError
 from repro.config.system import SystemConfig
 from repro.telemetry.core import TELEMETRY_OFF
-
-#: Default planning path for new instances.  The benchmark flips this
-#: to time the scalar-loop reference against the batch path end to end.
-BATCH_PLANNING_DEFAULT = True
 
 
 class VecSmartDPSS:
@@ -80,11 +76,6 @@ class VecSmartDPSS:
         state so they remain inspectable (frozen weights, virtual
         queues) after a run — but both their per-slot and planning
         paths are bypassed by the vectorized twins.
-    batch_planning:
-        ``True`` (default) plans every coarse boundary through
-        :meth:`prepare_plan_batch`; ``False`` loops the scalar
-        instances' ``prepare_plan`` — the bit-identical equivalence
-        reference.
     workspace:
         ``None`` (default) follows
         :data:`repro.backend.workspace.WORKSPACE_DEFAULT`; ``True`` /
@@ -100,15 +91,11 @@ class VecSmartDPSS:
     """
 
     def __init__(self, controllers: Sequence[SmartDPSS], *,
-                 batch_planning: bool | None = None,
                  workspace: bool | None = None,
                  telemetry=None):
         if not controllers:
             raise ConfigurationError("need at least one controller")
         self.controllers = list(controllers)
-        self.batch_planning = (BATCH_PLANNING_DEFAULT
-                               if batch_planning is None
-                               else bool(batch_planning))
         self._workspace_flag = workspace
         self._telemetry = telemetry if telemetry is not None \
             else TELEMETRY_OFF
@@ -158,8 +145,8 @@ class VecSmartDPSS:
             [bool(configs[i].use_long_term_market) for i in range(n)])
         self._shift_paper = np.array(
             [configs[i].battery_shift_mode == "paper" for i in range(n)])
-        self._plan_deferrable = [
-            bool(configs[i].plan_deferrable_arrivals) for i in range(n)]
+        self._plan_deferrable = np.array(
+            [bool(configs[i].plan_deferrable_arrivals) for i in range(n)])
         # Normalized controller-unit prices, as the scalar code computes
         # them per observation (here hoisted: the factors are constant).
         self._margin_n = pull(
@@ -180,7 +167,6 @@ class VecSmartDPSS:
         self._s_dt_max = pull(lambda i: systems[i].s_dt_max)
         self._p_grid = pull(lambda i: systems[i].p_grid)
         self._t_arr = pull(lambda i: systems[i].fine_slots_per_coarse)
-        self._t_list = [int(s.fine_slots_per_coarse) for s in systems]
         self._bounds_system = SystemArrays.stack(systems)
 
         # Vectorized live state (mirrors the scalar instances').
@@ -221,17 +207,21 @@ class VecSmartDPSS:
         return self._rt_sum / self._rt_count
 
     def prepare_plan_batch(self, obs: BatchCoarseObservation
-                           ) -> tuple[list[P4State], list[int]]:
+                           ) -> tuple[P4Batch, np.ndarray]:
         """Array twin of ``B`` scalar ``prepare_plan`` calls.
 
         Freezes the interval weights, selects shift points for both
         shift modes in one pass, applies the first-boundary
         ``_RunningMean`` seeding rule, and assembles the P4 subproblems
-        for the scenarios whose long-term market is enabled.  Returns
-        ``(states, indices)`` ready for
-        :func:`~repro.core.p4.solve_p4_many`; every array expression
+        of the scenarios whose long-term market is enabled.  Returns
+        ``(batch, pending)``: ``pending`` holds those scenarios'
+        indices in ascending order (possibly none) and ``batch`` is
+        their :class:`~repro.core.p4.P4Batch`, row ``k`` belonging to
+        scenario ``pending[k]``.  Scenarios outside ``pending`` have
+        their planned rate set to zero here.  Every array expression
         mirrors the scalar code elementwise, so the frozen weights and
-        P4 inputs are bit-identical to the per-scenario path.
+        the batch equal ``P4Batch.from_states`` of the scalar records
+        bit for bit.
         """
         price_lt = obs.price_lt / self._price_scale
         if self._rt_count == 0:
@@ -282,58 +272,29 @@ class VecSmartDPSS:
         # Scenarios without the long-term market plan a zero purchase.
         np.copyto(self._planned_rate, 0.0, where=~self._use_lt)
         pending = np.nonzero(self._use_lt)[0]
-        if pending.size == 0:
-            return [], []
-
-        # P4State assembly for the pending scenarios only: one C-level
-        # slice + .tolist() pass per field, then plain-Python record
-        # building (normalization on the sliced rows is the identical
-        # elementwise operation, so bit-identity is unaffected).
-        rows_ds = obs.profile_demand_ds[pending].tolist()
-        rows_dt = obs.profile_demand_dt[pending].tolist()
-        rows_r = obs.profile_renewable[pending].tolist()
-        rows_p = (obs.profile_price_rt[pending]
-                  / self._price_scale[pending][:, None]).tolist()
-        v = self._v[pending].tolist()
-        plt = price_lt[pending].tolist()
-        q_hat = self._q_hat[pending].tolist()
-        y_hat = self._y_hat[pending].tolist()
-        x_hat = self._x_hat[pending].tolist()
-        mean_ds = obs.demand_ds[pending].tolist()
-        mean_r = obs.renewable[pending].tolist()
-        level = obs.battery_level[pending].tolist()
-        p_grid = self._p_grid[pending].tolist()
-        avail = discharge_avail[pending].tolist()
-        headroom = charge_headroom[pending].tolist()
-        eta_c = self._eta_c[pending].tolist()
-        s_dt_max = self._s_dt_max[pending].tolist()
-        waste = self._waste_n[pending].tolist()
-
-        states = []
-        for row, i in enumerate(pending.tolist()):
-            states.append(P4State(
-                v=v[row],
-                price_lt=plt[row],
-                q_hat=q_hat[row],
-                y_hat=y_hat[row],
-                x_hat=x_hat[row],
-                t_slots=self._t_list[i],
-                demand_ds=mean_ds[row],
-                renewable=mean_r[row],
-                battery_level=level[row],
-                p_grid=p_grid[row],
-                discharge_avail=avail[row],
-                charge_headroom_total=headroom[row],
-                eta_c=eta_c[row],
-                s_dt_max=s_dt_max[row],
-                waste_penalty=waste[row],
-                profile_demand_ds=tuple(rows_ds[row]),
-                profile_demand_dt=tuple(rows_dt[row]),
-                profile_renewable=tuple(rows_r[row]),
-                profile_price_rt=tuple(rows_p[row]),
-                plan_deferrable_arrivals=self._plan_deferrable[i],
-            ))
-        return states, pending.tolist()
+        batch = P4Batch.assemble(
+            profile_demand_ds=obs.profile_demand_ds[pending],
+            profile_renewable=obs.profile_renewable[pending],
+            profile_demand_dt=obs.profile_demand_dt[pending],
+            prices=(obs.profile_price_rt[pending]
+                    / self._price_scale[pending][:, None]),
+            t_slots=self._t_arr[pending],
+            v=self._v[pending],
+            price_lt=price_lt[pending],
+            p_grid=self._p_grid[pending],
+            q_hat=self._q_hat[pending],
+            y_hat=self._y_hat[pending],
+            x_hat=self._x_hat[pending],
+            eta_c=self._eta_c[pending],
+            demand_ds=obs.demand_ds[pending],
+            renewable=obs.renewable[pending],
+            discharge_avail=discharge_avail[pending],
+            charge_headroom_total=charge_headroom[pending],
+            waste_penalty=self._waste_n[pending],
+            s_dt_max=self._s_dt_max[pending],
+            plan_deferrable_arrivals=self._plan_deferrable[pending],
+        )
+        return batch, pending
 
     def _mean_state(self, index: int) -> dict:
         """One scenario's ``_RunningMean`` state, seed included."""
@@ -366,59 +327,22 @@ class VecSmartDPSS:
                 "shift": float(self._shift[index]),
                 "value": None, "min_seen": None, "max_seen": None})
 
-    def _sync_from(self, index: int, controller: SmartDPSS) -> None:
-        """Read one scalar instance's post-plan state back into arrays."""
-        self._q_hat[index], self._y_hat[index], self._x_hat[index] = \
-            controller.frozen_weights
-        mean = controller._rt_price_mean.state()
-        self._rt_sum[index] = mean["sum"]
-        if mean["initial"] is not None:
-            self._rt_initial[index] = mean["initial"]
-            self._rt_seeded = True
-        x_state = controller._x_queue.state()
-        self._shift[index] = x_state["shift"]
-        self._x_value[index] = x_state["value"]
-        self._x_min[index] = x_state["min_seen"]
-        self._x_max[index] = x_state["max_seen"]
-        self._planned_rate[index] = controller._planned_rate
-
-    def _prepare_plan_loop(self, obs: BatchCoarseObservation
-                           ) -> tuple[list[P4State], list[int]]:
-        """Reference path: per-scenario scalar ``prepare_plan`` calls."""
-        states: list[P4State] = []
-        pending: list[int] = []
-        for index, controller in enumerate(self.controllers):
-            self._sync_into(index, controller)
-            state = controller.prepare_plan(obs.scalar(index))
-            self._sync_from(index, controller)
-            if state is not None:
-                states.append(state)
-                pending.append(index)
-        # Flip only after the loop: scenarios later in the batch must
-        # still load the never-observed condition at the first boundary.
-        self._x_observed = True
-        return states, pending
-
     def plan_long_term(self, obs: BatchCoarseObservation) -> np.ndarray:
         """Plan every scenario's advance purchase ``gbef(t)``.
 
-        Preparation (weight freezing, shift selection, P4 subproblem
-        construction) runs through :meth:`prepare_plan_batch` (or the
-        scalar-instance loop when ``batch_planning`` is off); the P4
-        solves themselves — the expensive part — are pooled into one
-        :func:`~repro.core.p4.solve_p4_many` tensor pass either way.
+        Preparation (weight freezing, shift selection, the P4 batch)
+        runs through :meth:`prepare_plan_batch`; the P4 solve itself —
+        the expensive part — is one
+        :func:`~repro.core.p4.solve_p4_many` tensor pass, whose
+        ``(B,)`` rates are written straight into the plan arrays.
         """
-        if self.batch_planning:
-            states, pending = self.prepare_plan_batch(obs)
-        else:
-            states, pending = self._prepare_plan_loop(obs)
+        batch, pending = self.prepare_plan_batch(obs)
         gbef = np.zeros(self._n)
-        if states:
+        if len(batch):
             with self._telemetry.span("p4"):
-                solutions = solve_p4_many(states, self.mode)
-            for index, solution in zip(pending, solutions):
-                self._planned_rate[index] = solution.rate
-                gbef[index] = solution.gbef
+                rates = solve_p4_many(batch, self.mode)
+            self._planned_rate[pending] = rates
+            gbef[pending] = rates * batch.t_slots
         return gbef
 
     # -- real-time balancing (per fine slot; fully vectorized) ---------

@@ -1,27 +1,33 @@
 """Batch planning layer: exact equality under mixed per-scenario configs.
 
 The vectorized planning boundary (``prepare_plan_batch`` +
-``BatchCoarseObservation``) must be *bit-identical* to the scalar path
-— not merely within tolerance — for any mix of per-scenario planning
-configurations in one batch:
+``BatchCoarseObservation`` + the array-native P4 solve) must be
+*bit-identical* to the scalar path — not merely within tolerance — for
+any mix of per-scenario planning configurations in one batch:
 
 * ``paper`` and ``operational`` battery-shift modes side by side
   (the paper mode exercises the array-capable ``compute_bounds``);
 * scenarios with the long-term market disabled (``prepare_plan``
   returns ``None`` — the zero-purchase path);
 * scenarios with the battery disabled;
-* per-scenario ``V`` / ``ε`` / margins.
+* per-scenario ``V`` / ``ε`` / margins;
+* windows of up to 12 slots, past the 8-slot width where NumPy's
+  pairwise row sums stop matching a left-to-right ``sum``.
 
-Every pack runs three ways — scalar :class:`Simulator`, batch engine
-with batch planning, batch engine with the scalar-instance planning
-loop (the reference path) — and all three must agree exactly.  The
-post-run scalar instances must also be indistinguishable from a scalar
-run's controller: virtual-queue state (values, peaks, extremes), the
-price mean including its first-boundary seed, the frozen Lyapunov
-weights and the last planned rate (``finalize()``'s contract).
+Every pack runs two ways — scalar :class:`Simulator` and the batch
+engine — and both must agree exactly.  The post-run scalar instances
+must also be indistinguishable from a scalar run's controller:
+virtual-queue state (values, peaks, extremes), the price mean
+including its first-boundary seed, the frozen Lyapunov weights and the
+last planned rate (``finalize()``'s contract).  At every boundary the
+batch's ``P4Batch`` must equal ``P4Batch.from_states`` of the scalar
+``prepare_plan`` records field by field, and the batch engine must
+never build a per-scenario ``P4State`` or ``P4Solution``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import hypothesis.strategies as st
 import numpy as np
@@ -31,6 +37,7 @@ from hypothesis import given, settings
 from repro.config.control import SmartDPSSConfig
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.config.system import SystemConfig
+from repro.core.p4 import P4Batch, P4Solution, P4State
 from repro.core.smartdpss import SmartDPSS
 from repro.core.smartdpss_vec import VecSmartDPSS
 from repro.sim.batch import BatchSimulator, RunSpec
@@ -56,7 +63,7 @@ def _series(draw, n: int, lo: float, hi: float) -> np.ndarray:
 def mixed_systems(draw) -> SystemConfig:
     b_max = draw(_floats(0.0, 1.5))
     return SystemConfig(
-        fine_slots_per_coarse=draw(st.integers(1, 6)),
+        fine_slots_per_coarse=draw(st.integers(1, 12)),
         num_coarse_slots=draw(st.integers(2, 4)),
         p_max=200.0,
         p_grid=draw(_floats(0.2, 3.0)),
@@ -152,8 +159,8 @@ def assert_exact(scalar, batch, context: str) -> None:
     assert scalar.rt_energy == batch.rt_energy
 
 
-def run_three_ways(runs):
-    """Scalar reference, batch planning, and the scalar-planning loop."""
+def run_two_ways(runs):
+    """Scalar reference engine and the batch engine."""
     scalar_results = []
     scalar_controllers = []
     for run in runs:
@@ -162,38 +169,132 @@ def run_three_ways(runs):
         scalar_results.append(
             Simulator(run.system, controller, run.traces).run())
 
-    def batch_run(batch_planning: bool):
-        controllers = [SmartDPSS(run.controller.config) for run in runs]
-        specs = [RunSpec(system=run.system, controller=controller,
-                         traces=run.traces)
-                 for run, controller in zip(runs, controllers)]
-        vec = VecSmartDPSS(controllers, batch_planning=batch_planning)
-        return BatchSimulator(specs, controller=vec).run(), controllers
-
-    batch_results, batch_controllers = batch_run(True)
-    loop_results, loop_controllers = batch_run(False)
+    controllers = [SmartDPSS(run.controller.config) for run in runs]
+    specs = [RunSpec(system=run.system, controller=controller,
+                     traces=run.traces)
+             for run, controller in zip(runs, controllers)]
+    vec = VecSmartDPSS(controllers)
+    batch_results = BatchSimulator(specs, controller=vec).run()
     return ((scalar_results, scalar_controllers),
-            (batch_results, batch_controllers),
-            (loop_results, loop_controllers))
+            (batch_results, controllers))
 
 
 @settings(max_examples=40, deadline=None)
 @given(mixed_packs())
 def test_mixed_config_batch_planning_exact(runs):
-    """Batch planning == scalar loop == scalar engine, bit for bit."""
+    """Batch engine == scalar engine, bit for bit."""
     (scalar_results, scalar_controllers), \
-        (batch_results, batch_controllers), \
-        (loop_results, loop_controllers) = run_three_ways(runs)
+        (batch_results, batch_controllers) = run_two_ways(runs)
     for index in range(len(runs)):
         assert_exact(scalar_results[index], batch_results[index],
                      f"scenario {index} (batch planning)")
-        assert_exact(scalar_results[index], loop_results[index],
-                     f"scenario {index} (planning loop)")
         reference = controller_state(scalar_controllers[index])
         assert controller_state(batch_controllers[index]) == reference, \
             f"scenario {index}: batch-planned introspection diverges"
-        assert controller_state(loop_controllers[index]) == reference, \
-            f"scenario {index}: loop-planned introspection diverges"
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_packs())
+def test_plan_batch_equals_scalar_records(runs):
+    """``prepare_plan_batch`` == ``from_states`` of scalar records.
+
+    Records every scalar controller's ``prepare_plan`` output and the
+    batch controller's ``(batch, pending)`` at each coarse boundary,
+    then compares the two P4 batches field by field, bit for bit.
+    """
+    scalar_states = []
+    for run in runs:
+        controller = SmartDPSS(run.controller.config)
+        states = []
+        scalar_states.append(states)
+
+        def record(obs, prepare=controller.prepare_plan, states=states):
+            state = prepare(obs)
+            states.append(state)
+            return state
+
+        controller.prepare_plan = record
+        Simulator(run.system, controller, run.traces).run()
+
+    vec = VecSmartDPSS([SmartDPSS(run.controller.config) for run in runs])
+    planned = []
+
+    def record_batch(obs, prepare=vec.prepare_plan_batch):
+        result = prepare(obs)
+        planned.append(result)
+        return result
+
+    vec.prepare_plan_batch = record_batch
+    specs = [RunSpec(system=run.system, controller=controller,
+                     traces=run.traces)
+             for run, controller in zip(runs, vec.controllers)]
+    BatchSimulator(specs, controller=vec).run()
+
+    assert len(planned) == runs[0].system.num_coarse_slots
+    for boundary, (batch, pending) in enumerate(planned):
+        records = [states[boundary] for states in scalar_states]
+        expected_pending = [index for index, state in enumerate(records)
+                            if state is not None]
+        assert pending.tolist() == expected_pending
+        assert len(batch) == len(expected_pending)
+        if not expected_pending:
+            continue
+        states = [records[index] for index in expected_pending]
+        expected = P4Batch.from_states(states)
+        for item in dataclasses.fields(P4Batch):
+            got = getattr(batch, item.name)
+            want = getattr(expected, item.name)
+            assert np.array_equal(got, want), (
+                f"boundary {boundary}: P4Batch.{item.name} diverges")
+        # Both sides share P4Batch.assemble, so also check its derived
+        # fields against plain scalar formulas on the records: the
+        # deferred pool sums the window left to right.
+        for row, state in enumerate(states):
+            arrivals = 0.0
+            if state.plan_deferrable_arrivals:
+                total = 0.0
+                for value in state.profile_demand_dt:
+                    total += value
+                arrivals = total * (state.t_slots
+                                    / len(state.profile_demand_ds))
+            assert batch.pools[row] == min(
+                state.q_hat + arrivals, state.s_dt_max * state.t_slots)
+            assert batch.floors[row] == min(
+                max(0.0, state.demand_ds - state.renewable
+                    - state.discharge_avail), state.p_grid)
+
+
+@pytest.mark.parametrize("mode", ["derived", "paper"])
+def test_batch_planning_builds_no_records(monkeypatch, mode):
+    """Planning stays array-native: no per-scenario P4 records.
+
+    Runs the batch engine with ``P4State`` and ``P4Solution``
+    construction patched to raise; the run must still complete and
+    match the scalar engine.
+    """
+    system = paper_system_config(days=2)
+    base = paper_controller_config(objective_mode=mode)
+    configs = [
+        base,
+        base.replace(battery_shift_mode="paper"),
+        base.replace(use_long_term_market=False),
+        base.replace(plan_deferrable_arrivals=True, v=2.5),
+    ]
+    runs = [RunSpec(system=system, controller=SmartDPSS(cfg),
+                    traces=make_paper_traces(system, seed=5 + index))
+            for index, cfg in enumerate(configs)]
+    scalar = [Simulator(run.system, SmartDPSS(run.controller.config),
+                        run.traces).run() for run in runs]
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(
+            f"{type(self).__name__} built on the batch planning path")
+
+    monkeypatch.setattr(P4State, "__init__", forbidden)
+    monkeypatch.setattr(P4Solution, "__init__", forbidden)
+    batch = BatchSimulator(runs).run()
+    for index, (reference, result) in enumerate(zip(scalar, batch)):
+        assert_exact(reference, result, f"scenario {index}")
 
 
 def test_finalize_restores_scalar_introspection():
@@ -214,8 +315,7 @@ def test_finalize_restores_scalar_introspection():
     runs = [RunSpec(system=system, controller=SmartDPSS(cfg),
                     traces=make_paper_traces(system, seed=11 + index))
             for index, cfg in enumerate(configs)]
-    (_, scalar_controllers), (_, batch_controllers), _ = \
-        run_three_ways(runs)
+    (_, scalar_controllers), (_, batch_controllers) = run_two_ways(runs)
     for index, (reference, batched) in enumerate(
             zip(scalar_controllers, batch_controllers)):
         assert controller_state(batched) == controller_state(reference), \

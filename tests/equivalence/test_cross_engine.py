@@ -50,7 +50,7 @@ def systems(draw) -> SystemConfig:
     """Random but physically valid small systems."""
     b_max = draw(_floats(0.0, 1.5))
     return SystemConfig(
-        fine_slots_per_coarse=draw(st.integers(1, 6)),
+        fine_slots_per_coarse=draw(st.integers(1, 12)),
         num_coarse_slots=draw(st.integers(2, 4)),
         p_max=200.0,
         p_grid=draw(_floats(0.2, 3.0)),

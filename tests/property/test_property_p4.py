@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.config.control import ObjectiveMode
-from repro.core.p4 import P4State, _window_cost, solve_p4
+from repro.core.p4 import P4State, _scan, _window_cost, solve_p4
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=2.0),
                     min_size=4, max_size=24)
@@ -99,3 +99,21 @@ def test_deterministic(state):
     a = solve_p4(state, ObjectiveMode.DERIVED)
     b = solve_p4(state, ObjectiveMode.DERIVED)
     assert a.rate == b.rate
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                               min_size=6, max_size=6),
+                      min_size=1, max_size=8))
+def test_scan_matches_reference_cascade(steps):
+    # Entries a few 1e-13 apart: every row is full of near-ties that
+    # the 1e-12 acceptance margin must resolve like the scalar scan.
+    values = 7.0 + np.array(steps, dtype=float) * 3e-13
+    candidates = np.arange(values.size, dtype=float).reshape(values.shape)
+    chosen = _scan(candidates, values)
+    for row, value_row in enumerate(values.tolist()):
+        best_value, best_column = float("inf"), 0
+        for column, value in enumerate(value_row):
+            if value < best_value - 1e-12:
+                best_value, best_column = value, column
+        assert chosen[row] == candidates[row, best_column]

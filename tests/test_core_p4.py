@@ -128,3 +128,80 @@ class TestDerivedMode:
             _window_cost(state, r)
             for r in np.linspace(solution.floor_rate, 2.0, 4001))
         assert _window_cost(state, solution.rate) <= best_dense + 1e-9
+
+
+def _reference_scan(values) -> int:
+    """The scalar selection cascade: improve by more than 1e-12."""
+    best_value = float("inf")
+    best_row = 0
+    for row, value in enumerate(values):
+        if value < best_value - 1e-12:
+            best_value = value
+            best_row = row
+    return best_row
+
+
+class TestScan:
+    def test_near_ties_follow_reference_cascade(self):
+        # Rows hold entries inside (min, min + 1e-12], where the first
+        # minimizer (argmin) and the reference cascade disagree.
+        from repro.core.p4 import _scan
+        base = 5.0
+        values = np.array([
+            [base + 8e-13, base, base + 2e-12],
+            [base + 2e-12, base + 1.5e-12, base],
+            [base, base - 5e-13, base - 1.1e-12],
+            [base + 5e-13, base + 1e-12, base],
+            [1.0, 1.0, 1.0],
+            [np.inf, 3.0, 3.0 - 5e-13],
+        ])
+        candidates = np.arange(values.size, dtype=float).reshape(
+            values.shape)
+        expected = [candidates[row, _reference_scan(values[row].tolist())]
+                    for row in range(len(values))]
+        assert _scan(candidates, values).tolist() == expected
+        assert any(_reference_scan(row) != int(np.argmin(row))
+                   for row in values.tolist())
+
+
+class TestP4Batch:
+    def test_len_is_row_count(self):
+        from repro.core.p4 import P4Batch
+        batch = P4Batch.from_states([make_p4_state(), make_p4_state()])
+        assert len(batch) == 2
+        assert batch.nets.shape == (2, 24)
+
+    def test_from_states_needs_one_window_width(self):
+        from repro.core.p4 import P4Batch
+        from repro.exceptions import ConfigurationError
+        short = make_p4_state(profile_demand_ds=(1.0,),
+                              profile_demand_dt=(0.5,),
+                              profile_renewable=(0.2,),
+                              profile_price_rt=(5.0,))
+        with pytest.raises(ConfigurationError):
+            P4Batch.from_states([make_p4_state(), short])
+
+    def test_deferrable_pool_sums_window_in_slot_order(self):
+        # On this 24-slot window NumPy's pairwise row sum rounds
+        # differently from a left-to-right sum; the pool must use the
+        # latter, the scalar reference's order.
+        from repro.core.p4 import P4Batch
+        arrivals = tuple(0.5 + 0.3 * np.sin(h) for h in range(24))
+        total = 0.0
+        for value in arrivals:
+            total += value
+        assert np.array(arrivals).sum() != total
+        state = make_p4_state(plan_deferrable_arrivals=True,
+                              profile_demand_dt=arrivals, q_hat=1.0,
+                              s_dt_max=10.0)
+        assert P4Batch.from_states([state]).pools[0] == 1.0 + total
+
+    def test_many_matches_single_solves(self):
+        from repro.core.p4 import P4Batch, solve_p4_many
+        states = [make_p4_state(),
+                  make_p4_state(price_lt=2.0, q_hat=3.0),
+                  make_p4_state(plan_deferrable_arrivals=True)]
+        for mode in ObjectiveMode:
+            rates = solve_p4_many(P4Batch.from_states(states), mode)
+            assert rates.tolist() == [solve_p4(state, mode).rate
+                                      for state in states]
