@@ -56,7 +56,7 @@ from repro.fleet.engine import (
 from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import observation_from_mapping
 from repro.fleet.spec import ScenarioSpec
-from repro.fleet.stream import ArrayTraceStream
+from repro.fleet.stream import ArrayTraceStream, materialize_block
 from repro.sim.batch import RunSpec, run_group_batch
 from repro.sim.results import SimulationResult
 from repro.telemetry import (
@@ -168,7 +168,8 @@ def _progress_arity(progress: Callable) -> int:
     return 4 if len(positional) >= 4 else 3
 
 
-def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
+def _attach_offline_gap(systems: "list", block: TraceBlock,
+                        traces_list: "list[TraceSet]",
                         metrics: "list[ScenarioMetrics]",
                         chunk_coarse: int,
                         workspace: bool | None,
@@ -178,7 +179,8 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
 
     Solves the clairvoyant LP for every scenario through the batched
     structure-stamping path (grouped by system configuration — one
-    compiled structure per distinct system), replays all plans through
+    compiled structure per distinct system, each group reading its
+    rows of the shard's trace ``block``), replays all plans through
     the vectorized engine in a single pass, and reports the replayed
     offline cost plus the policy's relative gap against it.  The
     replayed cost record is bit-identical to replaying each plan
@@ -205,11 +207,10 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
         try:
             if faults is not None:
                 faults.fire("lp_solve", subset=indices)
-            block = TraceBlock.from_tracesets(
-                [traces_list[i] for i in indices])
             for i, plan in zip(indices,
                                solve_offline_plan_batch(
-                                   system, block, telemetry=tele)):
+                                   system, block.take(indices),
+                                   telemetry=tele)):
                 plans[i] = plan
         except SolverError:
             # The batch solve died; retry scenario-by-scenario so the
@@ -218,9 +219,8 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
                 try:
                     if faults is not None:
                         faults.fire("lp_solve", subset=[i])
-                    block = TraceBlock.from_tracesets([traces_list[i]])
                     plans[i] = solve_offline_plan_batch(
-                        system, block, telemetry=tele)[0]
+                        system, block.take([i]), telemetry=tele)[0]
                 except SolverError:
                     plans[i] = None
                     degraded += 1
@@ -334,10 +334,16 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     JSON-ready records so the parent can append them to the store
     without touching numpy state.
 
-    With ``offline_gap`` the shard's trace windows are materialized up
-    front and shared between the policy run and the offline baseline —
-    the gap column then costs one compiled LP solve plus one vectorized
-    replay per scenario, not a second trace generation.
+    With ``offline_gap`` (and on the in-memory path, whose oracle
+    controllers need whole horizons) the shard's traces are
+    materialized up front into one :class:`~repro.traces.base.TraceBlock`
+    by :func:`~repro.fleet.stream.materialize_block` — one vectorized
+    kernel pass for ``stream`` recipes, per-source materialization
+    otherwise — timed as the ``materialize`` stage.  Each scenario
+    runs over a row view of that block, and the offline baseline's LPs
+    read the same rows, so the gap column costs one compiled LP solve
+    plus one vectorized replay per scenario, not a second trace
+    generation.
 
     With ``telemetry`` in the payload the shard owns a fresh
     :class:`~repro.telemetry.Telemetry` collector (explicitly passed
@@ -368,28 +374,31 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             in_worker=bool(payload.get("in_worker", False)))
 
     build_t0 = tele.clock() if tele is not None else 0.0
-    systems = []
+    systems = [spec.build_system() for spec in specs]
+    streams = [spec.open_stream(system)
+               for spec, system in zip(specs, systems)]
+    observations = [spec.build_observation(system)
+                    for spec, system in zip(specs, systems)]
+    block = None
     traces_list: list[TraceSet] = []
-    observations = []
+    if offline_gap or not streamable:
+        materialize_t0 = tele.clock() if tele is not None else 0.0
+        block = materialize_block(streams)
+        traces_list = [block.scenario(index)
+                       for index in range(block.n_scenarios)]
+        if tele is not None:
+            tele.add_time("materialize", tele.clock() - materialize_t0)
     if streamable:
-        runs = []
-        for spec in specs:
-            system = spec.build_system()
-            systems.append(system)
-            observations.append(spec.build_observation(system))
-            if offline_gap:
-                # Materialize once; the policy streams over array
-                # views of the same window the LP will consume.
-                traces = spec.build_traces(system)
-                traces_list.append(traces)
-                stream = ArrayTraceStream(traces)
-            else:
-                stream = spec.open_stream(system)
-            runs.append(StreamRunSpec(
-                system=system,
-                controller=spec.build_controller(),
-                stream=stream,
-                observation=observations[-1]))
+        if offline_gap:
+            # The policy streams over row views of the block the LP
+            # will consume.
+            streams = [ArrayTraceStream(traces) for traces in traces_list]
+        runs = [StreamRunSpec(system=system,
+                              controller=spec.build_controller(),
+                              stream=stream,
+                              observation=observation)
+                for spec, system, stream, observation
+                in zip(specs, systems, streams, observations)]
         if tele is not None:
             tele.add_time("build", tele.clock() - build_t0)
         metrics = StreamingBatchSimulator(
@@ -398,20 +407,13 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             telemetry=tele, faults=faults).run()
         engine = "stream"
     else:
-        runs = []
-        for spec in specs:
-            system = spec.build_system()
-            traces = spec.build_traces(system)
-            systems.append(system)
-            traces_list.append(traces)
-            observation = spec.build_observation(system)
-            observations.append(observation)
-            runs.append(RunSpec(
-                system=system,
-                controller=spec.build_controller(traces),
-                traces=traces,
-                observed=(observation.observed_traces(traces)
-                          if observation is not None else None)))
+        runs = [RunSpec(system=system,
+                        controller=spec.build_controller(traces),
+                        traces=traces,
+                        observed=(observation.observed_traces(traces)
+                                  if observation is not None else None))
+                for spec, system, traces, observation
+                in zip(specs, systems, traces_list, observations)]
         if tele is not None:
             tele.add_time("build", tele.clock() - build_t0)
         if faults is not None:
@@ -430,8 +432,8 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
         engine = "batch"
 
     if offline_gap:
-        metrics = _attach_offline_gap(systems, traces_list, metrics,
-                                      chunk_coarse, workspace,
+        metrics = _attach_offline_gap(systems, block, traces_list,
+                                      metrics, chunk_coarse, workspace,
                                       telemetry=tele, faults=faults)
     if robustness:
         metrics = _attach_robustness(

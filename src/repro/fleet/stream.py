@@ -39,6 +39,13 @@ Two sources are provided:
   per window instead of ``B × chunk`` Python loop iterations, and
   bit-identical to ``B`` independent :class:`StreamingPaperTraces`
   cursors (the scalar reference path the equivalence harness runs).
+  It also serves materialization: :meth:`BatchTraceStream.materialize`
+  (and :func:`materialize_block`, which falls back to per-source
+  ``materialize`` for non-kernel sources) generates a whole shard's
+  horizons in one windowed pass, and ``block.scenario(b)`` equals
+  scenario ``b``'s scalar ``materialize()`` in every series and in
+  meta.  The fleet runner materializes offline-gap and oracle shards
+  this way.
 
 * :class:`ArrayTraceStream` — wraps an already-materialized
   :class:`TraceSet` so in-memory recipes flow through the same cursor
@@ -60,9 +67,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.exceptions import ConfigurationError, TraceError
+from repro.exceptions import (
+    ConfigurationError,
+    HorizonMismatchError,
+    TraceError,
+)
 from repro.rng import RngFactory
-from repro.traces.base import TraceBlock, TraceSet
+from repro.traces.base import SERIES_FIELDS, TraceBlock, TraceSet
 from repro.traces.demand import (
     DemandChunkState,
     DemandModel,
@@ -428,7 +439,9 @@ class _BatchPaperCursor:
             start, n_slots, rngs["stream:price_lt"])
         self._position = start + n_slots
 
-        meta = {"seeds": stream.seeds, "source": "BatchTraceStream",
+        # Row b's meta (TraceBlock.scenario) is what the scalar cursor
+        # writes for scenario b: same source, clip keys on clipped rows.
+        meta = {"seeds": stream.seeds, "source": "StreamingPaperTraces",
                 "window_start": start}
         clip = stream.clip_p_grid
         if clip is not None:
@@ -442,6 +455,7 @@ class _BatchPaperCursor:
                       total, out=scale, where=over)
             demand_ds = demand_ds * scale
             demand_dt = demand_dt * scale
+            meta["peak_clip_p_grid"] = stream.clip_limits
             meta["peak_clip_slots"] = over.sum(axis=1)
         return TraceBlock(
             demand_ds=demand_ds,
@@ -485,11 +499,15 @@ class BatchTraceStream:
             [source.solar_model for source in self.streams])
         self.price_kernel = PriceTraceKernel(
             [source.price_model for source in self.streams])
-        clips = [source.clip_p_grid for source in self.streams]
-        if any(clip is not None and clip > 0 for clip in clips):
+        #: Per-scenario ``Pgrid`` clip level, ``None`` where unclipped.
+        self.clip_limits = tuple(
+            source.clip_p_grid
+            if source.clip_p_grid is not None and source.clip_p_grid > 0
+            else None for source in self.streams)
+        if any(clip is not None for clip in self.clip_limits):
             self.clip_p_grid = np.array(
-                [clip if (clip is not None and clip > 0) else np.inf
-                 for clip in clips])
+                [np.inf if clip is None else clip
+                 for clip in self.clip_limits])
         else:
             self.clip_p_grid = None
 
@@ -516,3 +534,55 @@ class BatchTraceStream:
 
     def open(self) -> _BatchPaperCursor:
         return _BatchPaperCursor(self)
+
+    def materialize(self,
+                    chunk_slots: int = DEFAULT_MATERIALIZE_CHUNK
+                    ) -> TraceBlock:
+        """Every scenario's full horizon as one :class:`TraceBlock`.
+
+        Reads the horizon in ``chunk_slots`` windows (bounding kernel
+        temporaries) and concatenates them along the slot axis — the
+        batched twin of :meth:`TraceStream.materialize`: row ``b``
+        equals ``streams[b].materialize()`` series by series, and
+        ``scenario(b)`` returns its meta, ``peak_clip_slots`` summed
+        over the windows.
+        """
+        horizons = {source.n_slots for source in self.streams}
+        if len(horizons) != 1:
+            raise HorizonMismatchError(
+                f"batch materialize needs one horizon, got "
+                f"{sorted(horizons)}")
+        if chunk_slots < 1:
+            raise ConfigurationError(
+                f"chunk must be >= 1 slot, got {chunk_slots}")
+        cursor = self.open()
+        n_slots = self.n_slots
+        windows = [cursor.read(min(chunk_slots, n_slots - start))
+                   for start in range(0, n_slots, chunk_slots)]
+        meta = dict(windows[0].meta)
+        if "peak_clip_slots" in meta:
+            meta["peak_clip_slots"] = np.sum(
+                [w.meta["peak_clip_slots"] for w in windows], axis=0)
+        return TraceBlock(
+            **{name: np.concatenate([getattr(w, name) for w in windows],
+                                    axis=1)
+               for name in SERIES_FIELDS},
+            meta=meta)
+
+
+def materialize_block(streams: Sequence[TraceStream],
+                      chunk_slots: int = DEFAULT_MATERIALIZE_CHUNK
+                      ) -> TraceBlock:
+    """Materialize equal-horizon ``streams`` into one :class:`TraceBlock`.
+
+    Kernel-backed sources generate in one :class:`BatchTraceStream`
+    pass; otherwise (e.g. ``"paper"`` recipes) each source materializes
+    on its own and the results are stacked.  Either way
+    ``block.scenario(b)`` equals ``streams[b].materialize()`` array for
+    array and in meta.
+    """
+    batch = BatchTraceStream.for_streams(streams)
+    if batch is not None:
+        return batch.materialize(chunk_slots)
+    return TraceBlock.from_tracesets(
+        [source.materialize(chunk_slots) for source in streams])

@@ -48,6 +48,7 @@ _NESTED_UNDER = {
     "p5": "real_time",
     "physics": "slot_loop",
     "lp_solve": "offline_lp",
+    "materialize": "build",
 }
 
 

@@ -19,6 +19,7 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -341,10 +342,10 @@ class TraceBlock:
                        meta: dict | None = None) -> "TraceBlock":
         """Stack ``B`` equal-length :class:`TraceSet` windows.
 
-        Inverse of :meth:`scenario` for the series arrays: row ``b`` of
-        each stacked series is ``tracesets[b]``'s series, bit for bit.
-        Per-scenario seeds found in the sets' meta are collected under
-        ``meta["seeds"]`` so :meth:`scenario` can hand them back.
+        Inverse of :meth:`scenario`: row ``b`` of each stacked series is
+        ``tracesets[b]``'s series, bit for bit, and each set's meta is
+        kept under ``meta["rows"]`` so :meth:`scenario` hands it back
+        unchanged.
         """
         if not tracesets:
             raise TraceError("from_tracesets needs >= 1 trace set")
@@ -353,9 +354,7 @@ class TraceBlock:
             raise HorizonMismatchError(
                 f"trace sets have mismatched lengths: {sorted(lengths)}")
         meta = dict(meta) if meta is not None else {}
-        seeds = [ts.meta.get("seed") for ts in tracesets]
-        if any(seed is not None for seed in seeds):
-            meta.setdefault("seeds", seeds)
+        meta["rows"] = tuple(dict(ts.meta) for ts in tracesets)
         return cls(
             demand_ds=np.stack([ts.demand_ds for ts in tracesets]),
             demand_dt=np.stack([ts.demand_dt for ts in tracesets]),
@@ -367,19 +366,69 @@ class TraceBlock:
         )
 
     def scenario(self, index: int) -> TraceSet:
-        """Scenario ``index``'s window as a plain :class:`TraceSet`."""
+        """Scenario ``index``'s window as a :class:`TraceSet`.
+
+        The series are read-only row views of this block (no copy, no
+        re-validation: the block was validated as a whole).  Meta is
+        the row's own: ``meta["rows"][index]`` when the block was
+        stacked from trace sets, else the shared keys plus the row's
+        entry of every per-row key (``seeds`` becomes ``seed``; the
+        ``Pgrid`` clip keys appear only on rows that were clipped, as
+        :func:`~repro.traces.scaling.clip_demand_peaks` writes them).
+        """
+        rows = self.meta.get("rows")
+        if rows is not None:
+            meta = dict(rows[index])
+        else:
+            meta = {key: value for key, value in self.meta.items()
+                    if key not in _ROW_META_KEYS}
+            seeds = self.meta.get("seeds")
+            if seeds is not None:
+                meta["seed"] = seeds[index]
+            clips = self.meta.get("peak_clip_p_grid")
+            if clips is not None and clips[index] is not None:
+                meta["peak_clip_p_grid"] = clips[index]
+                meta["peak_clip_slots"] = int(
+                    self.meta["peak_clip_slots"][index])
+        return _frozen(TraceSet, {name: getattr(self, name)[index]
+                                  for name in SERIES_FIELDS}, meta)
+
+    def take(self, indices: Iterable[int]) -> "TraceBlock":
+        """The sub-block of rows ``indices`` (in that order).
+
+        Rows were validated with the whole block, so the sub-block is
+        not re-checked; every per-row meta entry follows its row.
+        Selecting every row in order returns ``self``.
+        """
+        indices = list(indices)
+        if indices == list(range(self.n_scenarios)):
+            return self
         meta = dict(self.meta)
-        seeds = meta.pop("seeds", None)
-        if seeds is not None:
-            meta["seed"] = seeds[index]
-        clip_counts = meta.get("peak_clip_slots")
-        if clip_counts is not None:
-            meta["peak_clip_slots"] = int(np.asarray(clip_counts)[index])
-        return TraceSet(
-            demand_ds=self.demand_ds[index],
-            demand_dt=self.demand_dt[index],
-            renewable=self.renewable[index],
-            price_rt=self.price_rt[index],
-            price_lt_hourly=self.price_lt_hourly[index],
-            meta=meta,
-        )
+        for key in _ROW_META_KEYS:
+            values = meta.get(key)
+            if values is None:
+                continue
+            if isinstance(values, np.ndarray):
+                meta[key] = values[indices]
+            else:
+                meta[key] = tuple(values[i] for i in indices)
+        return _frozen(TraceBlock, {name: getattr(self, name)[indices]
+                                    for name in SERIES_FIELDS}, meta)
+
+
+#: :class:`TraceBlock` meta keys that hold one entry per scenario row.
+_ROW_META_KEYS = ("rows", "seeds", "peak_clip_p_grid", "peak_clip_slots")
+
+
+def _frozen(cls: type, series: dict[str, np.ndarray], meta: dict):
+    """A ``cls`` instance around already-validated series arrays.
+
+    Skips ``__post_init__`` (validation and the defensive copy): for
+    views and selections of a block whose arrays were checked once.
+    """
+    instance = object.__new__(cls)
+    for name, array in series.items():
+        array.setflags(write=False)
+        object.__setattr__(instance, name, array)
+    object.__setattr__(instance, "meta", meta)
+    return instance

@@ -55,10 +55,16 @@ class DelayStats:
 
     @property
     def average_delay(self) -> float:
-        """Energy-weighted mean delay in slots (0 if nothing served)."""
+        """Energy-weighted mean delay in slots (0 if nothing served).
+
+        Clamped into ``[0, max_delay]``: a mean of delays is mathematically
+        within their range, but the quotient of the two float running
+        sums can land one ulp above ``max_delay``.
+        """
         if self.served_energy == 0:
             return 0.0
-        return self.weighted_delay / self.served_energy
+        mean = self.weighted_delay / self.served_energy
+        return min(max(mean, 0.0), float(self.max_delay))
 
 
 class BacklogQueue:

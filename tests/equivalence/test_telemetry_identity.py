@@ -78,9 +78,18 @@ class TestBitIdentity:
     def test_offline_gap_path(self):
         specs = stream_fleet()[:2]
         off = run_records(specs, telemetry=False, offline_gap=True)
-        on = run_records(specs, telemetry=True, offline_gap=True)
+        runner = FleetRunner(specs, batch_size=4, telemetry=True,
+                             offline_gap=True)
+        on = runner.run()
         assert canonical(on) == canonical(off)
         assert "offline_gap" in on[0]["metrics"]
+        # The shard's one-pass trace materialization is its own stage,
+        # nested under build.
+        stages = runner.last_manifest.stages
+        assert "materialize" in stages and "build" in stages
+        assert stages["materialize"]["count"] == 1
+        assert (stages["materialize"]["total_s"]
+                <= stages["build"]["total_s"])
 
 
 class TestManifestPlumbing:

@@ -8,7 +8,7 @@ queue's update matches eq. (12).
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.virtual_queues import DelayAwareQueue
 from repro.workload.queue import BacklogQueue
@@ -75,6 +75,10 @@ def test_delay_queue_matches_eq12(schedule, epsilon):
 
 @settings(max_examples=100, deadline=None)
 @given(schedule=schedules)
+# The float quotient of the running sums once landed one ulp above
+# max_delay (3.0000000000000004 > 3) on this schedule.
+@example(schedule=[(0.0, 1.0), (0.0, 0.0), (0.0, 0.0),
+                   (0.4745857086821462, 0.0)])
 def test_stats_average_within_observed_range(schedule):
     queue = BacklogQueue()
     for slot, (service, arrivals) in enumerate(schedule):
