@@ -3,9 +3,9 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-equivalence test-backend test-telemetry \
+.PHONY: test test-fast test-equivalence test-telemetry \
 	test-faults test-lint test-noise lint typecheck bench bench-trace \
-	bench-smoke bench-batch bench-fleet bench-traces bench-backend \
+	bench-smoke bench-batch bench-fleet bench-traces \
 	bench-offline bench-telemetry bench-faults bench-noise benchmarks
 
 # Tier-1 verify: the full suite, fail-fast.
@@ -19,12 +19,6 @@ test-fast:
 # Just the cross-engine equivalence harness + golden fixtures.
 test-equivalence:
 	$(PY) -m pytest -q -m equivalence
-
-# Optional-backend tests (CuPy/JAX); they skip cleanly when the
-# libraries are absent, so this target always passes on a NumPy-only
-# install.
-test-backend:
-	$(PY) -m pytest -q -m backend
 
 # Telemetry subsystem only: collectors, manifests, on/off bit-identity
 # (the `telemetry` marker; `make test` runs these as part of tier-1).
@@ -98,12 +92,6 @@ bench-fleet:
 # BENCH_traces.json.
 bench-traces:
 	$(PY) benchmarks/bench_traces.py
-
-# Array-backend layer: allocation-style reference vs the preallocated
-# slot-workspace path, per stage and end-to-end per backend (CuPy/JAX
-# record skips when absent); writes BENCH_backend.json.
-bench-backend:
-	$(PY) benchmarks/bench_backend.py
 
 # Offline baseline at fleet scale: batched structure-stamped LP
 # solves + one vectorized plan replay, gated on batched == scalar;

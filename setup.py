@@ -1,15 +1,7 @@
 """Package metadata and optional-dependency extras.
 
-The default install is **NumPy-only** by policy: importing ``repro``
-never touches CuPy or JAX, and every optional-backend code path is
-lazily imported and cleanly skipped when the library is absent (see
-``repro/backend/__init__.py``).  The extras exist so accelerator users
-can opt in:
-
-* ``pip install repro[cupy]`` — CuPy backend (pick the wheel matching
-  your CUDA toolkit if the generic one does not resolve);
-* ``pip install repro[jax]`` — JAX backend (pure kernels only; the
-  in-place slot workspaces need a mutable array namespace).
+The install is NumPy-only: ``install_requires`` is the whole runtime
+dependency set.
 """
 
 from setuptools import find_packages, setup
@@ -24,8 +16,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "cupy": ["cupy>=12"],
-        "jax": ["jax>=0.4"],
         "test": ["pytest>=7", "hypothesis>=6"],
         # Static-analysis toolchain: `make lint` needs nothing beyond
         # the stdlib (repro.lint is self-contained); mypy backs the

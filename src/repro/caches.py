@@ -7,8 +7,6 @@ without limit:
 ============================================  =======================
 cache                                         bound
 ============================================  =======================
-``repro.core.p5_vec._LANE_CACHE``             64 entries (dict, FIFO
-(lane-index vectors per (backend, batch))     eviction)
 ``repro.core.p4._STEP_CACHE``                 64 entries (dict, FIFO
 (candidate step vectors per window length)    eviction)
 ``repro.fleet.spec`` builder caches           ``lru_cache(1024)`` each
@@ -31,11 +29,10 @@ from __future__ import annotations
 def clear_caches() -> None:
     """Empty every registered module-level cache (see module docs)."""
     from repro.baselines import offline
-    from repro.core import p4, p5_vec
+    from repro.core import p4
     from repro.fleet import spec
     from repro.traces import solar
 
-    p5_vec._LANE_CACHE.clear()
     p4._STEP_CACHE.clear()
     spec._cached_system.cache_clear()
     spec._cached_models.cache_clear()
@@ -47,12 +44,11 @@ def clear_caches() -> None:
 def cache_sizes() -> dict[str, int]:
     """Current entry counts per cache (introspection for tests)."""
     from repro.baselines import offline
-    from repro.core import p4, p5_vec
+    from repro.core import p4
     from repro.fleet import spec
     from repro.traces import solar
 
     return {
-        "p5_vec.lane": len(p5_vec._LANE_CACHE),
         "p4.steps": len(p4._STEP_CACHE),
         "fleet.spec.system": spec._cached_system.cache_info().currsize,
         "fleet.spec.models": spec._cached_models.cache_info().currsize,
@@ -69,20 +65,19 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Per-cache warm-vs-cold statistics (what run manifests record).
 
     ``lru_cache``-backed caches report ``hits`` / ``misses`` /
-    ``entries`` from their own counters; the dict caches (no hit
-    accounting) report ``entries`` only.  A fleet run samples this
+    ``entries`` from their own counters; the dict cache (no hit
+    accounting) reports ``entries`` only.  A fleet run samples this
     before and after execution, so the manifest shows how warm the
     process started (``hits`` already nonzero → a reused worker pool
     or an earlier in-process sweep) and how much the run itself
     reused.
     """
     from repro.baselines import offline
-    from repro.core import p4, p5_vec
+    from repro.core import p4
     from repro.fleet import spec
     from repro.traces import solar
 
     stats: dict[str, dict[str, int]] = {
-        "p5_vec.lane": {"entries": len(p5_vec._LANE_CACHE)},
         "p4.steps": {"entries": len(p4._STEP_CACHE)},
     }
     for name, cached in (

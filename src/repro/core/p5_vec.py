@@ -11,28 +11,19 @@ scenarios per candidate, and scans with the scalar's tie-breaking rule
 (a candidate wins only by improving the incumbent by more than 1e-12,
 earlier candidates keeping ties).
 
-Two execution paths, selected by the ``work`` argument of
-:func:`solve_p5_batch`:
-
-* **Allocation path** (``work=None``) — the original expression-style
-  kernel.  Array ops route through the active backend's namespace
-  (:func:`repro.backend.current_xp`), so it also runs on immutable
-  namespaces (JAX).  This is the pre-workspace reference the
-  equivalence pack pins.
-* **Workspace path** (``work=``
-  :class:`~repro.backend.workspace.P5Workspace`) — the same IEEE-754
-  operations in the same order, written into preallocated buffers via
-  ``out=`` / ``copyto`` so the per-slot hot path allocates nothing.
-  Requires a mutable backend (NumPy/CuPy).
+The solve runs in a preallocated :class:`P5Workspace` (one per batch,
+reused every fine slot): every candidate, mask and objective temporary
+is written with ``out=`` / ``copyto`` ufunc calls, so the per-slot hot
+path allocates nothing.
 
 Exactness contract: candidate order, validity conditions, clipping and
 every objective expression replicate :func:`repro.core.p5.solve_p5`,
 :func:`repro.core.modes.resolve_physics` and the two objective
 variants operation-for-operation, so the selected actions are
-bit-identical to ``B`` scalar solves — on either path.  Candidates
-that the scalar enumeration would not generate (an out-of-box
-intersection, a zero-capacity breakpoint line) carry a validity mask
-and evaluate to ``+inf`` so they can never win the scan.
+bit-identical to ``B`` scalar solves.  Candidates that the scalar
+enumeration would not generate (an out-of-box intersection, a
+zero-capacity breakpoint line) carry a validity mask and evaluate to
+``+inf`` so they can never win the scan.
 """
 
 from __future__ import annotations
@@ -41,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import current_xp
-from repro.backend.workspace import P5Workspace
 from repro.config.control import ObjectiveMode
 from repro.exceptions import ConfigurationError
 
@@ -80,84 +69,79 @@ class BatchSlotState:
     battery_margin: np.ndarray
 
 
-def _resolve_physics_batch(state: BatchSlotState, grt: np.ndarray,
-                           gamma: np.ndarray):
-    """Vector twin of :func:`repro.core.modes.resolve_physics`."""
-    xp = current_xp()
-    sdt = xp.minimum(gamma * state.backlog, state.s_dt_max)
-    supply = state.gbef_rate + grt + state.renewable
-    net = supply - state.demand_ds - sdt
-    net = xp.where(xp.abs(net) < _BALANCE_TOL, 0.0, net)
-    positive = net >= 0.0
-    charge = xp.where(positive, xp.minimum(net, state.charge_cap), 0.0)
-    waste = xp.where(positive, net - charge, 0.0)
-    deficit = -net
-    discharge = xp.where(positive, 0.0,
-                         xp.minimum(deficit, state.discharge_cap))
-    unserved = xp.where(positive, 0.0, deficit - discharge)
-    return sdt, charge, discharge, waste, unserved
-
-
-def _objective_batch(state: BatchSlotState, mode: ObjectiveMode,
-                     grt: np.ndarray, gamma: np.ndarray,
-                     valid: np.ndarray) -> np.ndarray:
-    """Exact objective per scenario; ``+inf`` where invalid/infeasible."""
-    xp = current_xp()
-    sdt, charge, discharge, waste, unserved = _resolve_physics_batch(
-        state, grt, gamma)
-    active = (charge > 0.0) | (discharge > 0.0)
-    n_cost = xp.where(active, state.v * state.battery_op_cost, 0.0)
-    if mode is ObjectiveMode.PAPER:
-        value = (grt * (state.v * state.price_rt - state.q_hat
-                        - state.y_hat)
-                 + gamma * (state.q_hat ** 2
-                            - state.q_hat * state.y_hat)
-                 + n_cost
-                 + state.v * state.waste_penalty * waste
-                 + (state.q_hat + state.x_hat + state.y_hat)
-                 * (charge - discharge))
-    else:
-        margin_cost = (state.v * state.battery_margin
-                       * (charge + discharge))
-        value = (state.v * state.price_rt * grt
-                 + n_cost
-                 + margin_cost
-                 + state.v * state.waste_penalty * waste
-                 - (state.q_hat + state.y_hat) * sdt
-                 + state.x_hat * (state.eta_c * charge
-                                  - state.eta_d * discharge))
-    return xp.where(valid & ~(unserved > _UNSERVED_TOL), value, xp.inf)
-
-
 #: Fixed candidate-matrix height: 4 box corners, 3 breakpoint lines ×
 #: 4 box edges, and the emergency point.
 N_CANDIDATES = 17
 
-#: Lane-index cache keyed by (backend, batch size) — one gather per
-#: slot on the allocation path.  Bounded: a long-lived process sweeping
-#: many batch sizes evicts the oldest entry past the cap instead of
-#: growing without bound (see :func:`repro.caches.clear_caches`).
-_LANE_CACHE: dict[tuple[str, int], np.ndarray] = {}
+class P5Workspace:
+    """Buffers for one batch's P5 vertex enumeration (``(C, B)`` grids).
 
-#: Maximum retained lane vectors.
-_LANE_CACHE_MAX = 64
+    Candidate rows that are the same every slot (zero coordinates,
+    always-valid rows) are initialized once here and never written by
+    the kernel, which is what lets the candidate matrices persist
+    across slots.
+    """
+
+    __slots__ = (
+        "batch", "n_candidates", "lanes",
+        "grt", "gamma", "valid", "values",
+        "sdt", "net", "ta", "tb", "charge", "waste", "deficit",
+        "discharge", "unserved", "n_cost",
+        "positive", "ma", "mb", "mc",
+        "intercept", "present", "present_ok",
+        "gamma_edges", "grt_edges",
+        "graw", "hclip", "vraw", "vclip", "ha", "hb", "va", "vb",
+        "gamma_hi", "grt_hi", "safe_slope", "base",
+        "b1", "b2", "b3", "b4", "b5",
+        "minimum", "threshold", "out_grt", "out_gamma",
+        "lane_ok", "lane_bad", "backlog_pos",
+        "rows", "flat_index",
+    )
+
+    def __init__(self, batch: int, n_candidates: int):
+        self.batch = int(batch)
+        self.n_candidates = int(n_candidates)
+        c, n = self.n_candidates, self.batch
+        self.lanes = np.arange(n)
+
+        # Candidate matrices: zero rows / always-valid rows are set
+        # here once (see class docstring).
+        self.grt = np.zeros((c, n))
+        self.gamma = np.zeros((c, n))
+        self.valid = np.ones((c, n), dtype=bool)
+        self.values = np.empty((c, n))
+
+        # Physics / objective scratch over the candidate matrix.
+        for name in ("sdt", "net", "ta", "tb", "charge", "waste",
+                     "deficit", "discharge", "unserved", "n_cost"):
+            setattr(self, name, np.empty((c, n)))
+        for name in ("positive", "ma", "mb", "mc"):
+            setattr(self, name, np.empty((c, n), dtype=bool))
+
+        # Breakpoint-line scratch (3 intercepts x 2 edges).
+        self.intercept = np.empty((3, n))
+        self.present = np.ones((3, n), dtype=bool)  # row 0 stays True
+        self.present_ok = np.empty((3, n), dtype=bool)
+        self.gamma_edges = np.zeros((2, n))  # row 0 stays 0.0
+        self.grt_edges = np.zeros((2, n))    # row 0 stays 0.0
+        for name in ("graw", "hclip", "vraw", "vclip"):
+            setattr(self, name, np.empty((2, 3, n)))
+        for name in ("ha", "hb", "va", "vb"):
+            setattr(self, name, np.empty((2, 3, n), dtype=bool))
+
+        # Per-lane scratch.
+        for name in ("gamma_hi", "grt_hi", "safe_slope", "base",
+                     "b1", "b2", "b3", "b4", "b5",
+                     "minimum", "threshold", "out_grt", "out_gamma"):
+            setattr(self, name, np.empty(n))
+        for name in ("lane_ok", "lane_bad", "backlog_pos"):
+            setattr(self, name, np.empty(n, dtype=bool))
+        self.rows = np.empty(n, dtype=np.intp)
+        self.flat_index = np.empty(n, dtype=np.intp)
 
 
-def _lanes(n: int) -> np.ndarray:
-    from repro.backend import active_backend
-
-    backend = active_backend()
-    key = (backend.name, n)
-    lanes = _LANE_CACHE.get(key)
-    if lanes is None:
-        while len(_LANE_CACHE) >= _LANE_CACHE_MAX:
-            _LANE_CACHE.pop(next(iter(_LANE_CACHE)))
-        lanes = _LANE_CACHE[key] = backend.xp.arange(n)
-    return lanes
-
-
-def _candidates_batch(state: BatchSlotState):
-    """The scalar enumeration's candidates, stacked as ``(17, B)``.
+def _candidates(state: BatchSlotState, w: P5Workspace) -> None:
+    """The scalar enumeration's candidates, written as ``(17, B)``.
 
     Rows follow exactly the order ``solve_p5`` builds them: 4 box
     corners, then for each net-surplus intercept (0, charge cap,
@@ -167,135 +151,54 @@ def _candidates_batch(state: BatchSlotState):
     its capacity is positive, an intersection only kept when inside
     the box) become entries of the validity mask.
 
-    Built as pure stacked expressions (no in-place writes), so the
-    kernel runs on immutable array namespaces too; every row formula is
-    unchanged, keeping the values bit-identical to the scalar solver.
+    Writes ``w.grt`` / ``w.gamma`` / ``w.valid``; rows that are zero
+    (or always valid) were initialized at workspace creation and are
+    never written here.
     """
-    xp = current_xp()
-    n = state.backlog.shape[0]
-    zeros = xp.zeros(n)
-    always = xp.ones(n, dtype=bool)
-
-    # A denormal-tiny backlog overflows the division to +inf exactly as
-    # the scalar code's does; the min() clamp makes the warning moot.
-    with np.errstate(over="ignore"):
-        gamma_hi = xp.where(
-            state.backlog <= 0.0, 1.0,
-            xp.minimum(1.0, state.s_dt_max
-                       / xp.where(state.backlog > 0.0,
-                                  state.backlog, 1.0)))
-    grt_hi = xp.maximum(0.0, state.grt_cap)
-    slope = state.backlog
-    slope_ok = xp.abs(slope) > 1e-15
-    safe_slope = xp.where(slope_ok, slope, 1.0)
-    base = state.gbef_rate + state.renewable - state.demand_ds
-
-    # The three breakpoint lines as one (3, B) block: intercepts at net
-    # surplus 0, +charge cap, −discharge cap (rows 2-3 only "present"
-    # when the capacity is positive).
-    intercept = xp.stack((0.0 - base,
-                          state.charge_cap - base,
-                          -state.discharge_cap - base))
-    present = xp.stack((always,
-                        state.charge_cap > 0.0,
-                        state.discharge_cap > 0.0))
-
-    # Intersections with the two horizontal edges (γ = 0, γ = γ_hi) —
-    # rows 4+4i and 5+4i for intercept i — computed as one (2, 3, B)
-    # block (edge × intercept × scenario), and likewise the vertical
-    # edges (grt = 0, grt = grt_hi) for rows 6+4i and 7+4i.
-    gamma_edges = xp.stack((xp.zeros_like(gamma_hi), gamma_hi))
-    grt_raw = slope * gamma_edges[:, None, :] + intercept
-    h_valid = (present & (-1e-12 <= grt_raw)
-               & (grt_raw <= grt_hi + 1e-12))
-    h_clip = xp.minimum(xp.maximum(grt_raw, 0.0), grt_hi)
-
-    grt_edges = xp.stack((xp.zeros_like(grt_hi), grt_hi))
-    gamma_raw = (grt_edges[:, None, :] - intercept) / safe_slope
-    v_valid = (present & slope_ok & (-1e-12 <= gamma_raw)
-               & (gamma_raw <= gamma_hi + 1e-12))
-    v_clip = xp.minimum(xp.maximum(gamma_raw, 0.0), gamma_hi)
-
-    needed = xp.maximum(0.0, state.demand_ds - state.gbef_rate
-                        - state.renewable - state.discharge_cap)
-    emergency = xp.minimum(needed, grt_hi)
-
-    grt = xp.stack((
-        zeros, zeros, grt_hi, grt_hi,
-        h_clip[0, 0], h_clip[1, 0], zeros, grt_hi,
-        h_clip[0, 1], h_clip[1, 1], zeros, grt_hi,
-        h_clip[0, 2], h_clip[1, 2], zeros, grt_hi,
-        emergency))
-    gamma = xp.stack((
-        zeros, gamma_hi, zeros, gamma_hi,
-        zeros, gamma_hi, v_clip[0, 0], v_clip[1, 0],
-        zeros, gamma_hi, v_clip[0, 1], v_clip[1, 1],
-        zeros, gamma_hi, v_clip[0, 2], v_clip[1, 2],
-        zeros))
-    valid = xp.stack((
-        always, always, always, always,
-        h_valid[0, 0], h_valid[1, 0], v_valid[0, 0], v_valid[1, 0],
-        h_valid[0, 1], h_valid[1, 1], v_valid[0, 1], v_valid[1, 1],
-        h_valid[0, 2], h_valid[1, 2], v_valid[0, 2], v_valid[1, 2],
-        always))
-    return grt_hi, grt, gamma, valid
-
-
-def _candidates_ws(state: BatchSlotState, w: P5Workspace) -> None:
-    """Workspace twin of :func:`_candidates_batch` (zero allocations).
-
-    Writes ``w.grt`` / ``w.gamma`` / ``w.valid``; rows the allocation
-    kernel leaves at zero (or valid) were initialized once at
-    workspace creation and are never written here.  Every arithmetic
-    operation is the allocation kernel's, applied elementwise in the
-    same order.
-    """
-    xp = w.xp
-
     # gamma_hi = where(backlog <= 0, 1, min(1, s_dt_max / safe_backlog))
-    xp.greater(state.backlog, 0.0, out=w.backlog_pos)
-    xp.copyto(w.b1, 1.0)
-    xp.copyto(w.b1, state.backlog, where=w.backlog_pos)
+    np.greater(state.backlog, 0.0, out=w.backlog_pos)
+    np.copyto(w.b1, 1.0)
+    np.copyto(w.b1, state.backlog, where=w.backlog_pos)
     with np.errstate(over="ignore"):
-        xp.divide(state.s_dt_max, w.b1, out=w.gamma_hi)
-    xp.minimum(w.gamma_hi, 1.0, out=w.gamma_hi)
-    xp.less_equal(state.backlog, 0.0, out=w.lane_ok)
-    xp.copyto(w.gamma_hi, 1.0, where=w.lane_ok)
+        np.divide(state.s_dt_max, w.b1, out=w.gamma_hi)
+    np.minimum(w.gamma_hi, 1.0, out=w.gamma_hi)
+    np.less_equal(state.backlog, 0.0, out=w.lane_ok)
+    np.copyto(w.gamma_hi, 1.0, where=w.lane_ok)
 
-    xp.maximum(state.grt_cap, 0.0, out=w.grt_hi)
+    np.maximum(state.grt_cap, 0.0, out=w.grt_hi)
 
     # slope_ok / safe_slope (slope is the backlog itself).
-    xp.absolute(state.backlog, out=w.b2)
-    xp.greater(w.b2, 1e-15, out=w.lane_ok)
-    xp.copyto(w.safe_slope, 1.0)
-    xp.copyto(w.safe_slope, state.backlog, where=w.lane_ok)
+    np.absolute(state.backlog, out=w.b2)
+    np.greater(w.b2, 1e-15, out=w.lane_ok)
+    np.copyto(w.safe_slope, 1.0)
+    np.copyto(w.safe_slope, state.backlog, where=w.lane_ok)
 
-    xp.add(state.gbef_rate, state.renewable, out=w.base)
-    xp.subtract(w.base, state.demand_ds, out=w.base)
+    np.add(state.gbef_rate, state.renewable, out=w.base)
+    np.subtract(w.base, state.demand_ds, out=w.base)
 
-    xp.copyto(w.gamma[1], w.gamma_hi)
-    xp.copyto(w.grt[2], w.grt_hi)
-    xp.copyto(w.grt[3], w.grt_hi)
-    xp.copyto(w.gamma[3], w.gamma_hi)
+    np.copyto(w.gamma[1], w.gamma_hi)
+    np.copyto(w.grt[2], w.grt_hi)
+    np.copyto(w.grt[3], w.grt_hi)
+    np.copyto(w.gamma[3], w.gamma_hi)
 
-    xp.subtract(0.0, w.base, out=w.intercept[0])
-    xp.subtract(state.charge_cap, w.base, out=w.intercept[1])
-    xp.negative(state.discharge_cap, out=w.intercept[2])
-    xp.subtract(w.intercept[2], w.base, out=w.intercept[2])
-    xp.greater(state.charge_cap, 0.0, out=w.present[1])
-    xp.greater(state.discharge_cap, 0.0, out=w.present[2])
+    np.subtract(0.0, w.base, out=w.intercept[0])
+    np.subtract(state.charge_cap, w.base, out=w.intercept[1])
+    np.negative(state.discharge_cap, out=w.intercept[2])
+    np.subtract(w.intercept[2], w.base, out=w.intercept[2])
+    np.greater(state.charge_cap, 0.0, out=w.present[1])
+    np.greater(state.discharge_cap, 0.0, out=w.present[2])
 
     # Horizontal-edge intersections (γ = 0 row stays 0 by init).
-    xp.copyto(w.gamma_edges[1], w.gamma_hi)
-    xp.multiply(state.backlog, w.gamma_edges[:, None, :], out=w.graw)
-    xp.add(w.graw, w.intercept, out=w.graw)
-    xp.greater_equal(w.graw, -1e-12, out=w.ha)
-    xp.logical_and(w.present, w.ha, out=w.ha)
-    xp.add(w.grt_hi, 1e-12, out=w.b3)
-    xp.less_equal(w.graw, w.b3, out=w.hb)
-    xp.logical_and(w.ha, w.hb, out=w.ha)
-    xp.maximum(w.graw, 0.0, out=w.hclip)
-    xp.minimum(w.hclip, w.grt_hi, out=w.hclip)
+    np.copyto(w.gamma_edges[1], w.gamma_hi)
+    np.multiply(state.backlog, w.gamma_edges[:, None, :], out=w.graw)
+    np.add(w.graw, w.intercept, out=w.graw)
+    np.greater_equal(w.graw, -1e-12, out=w.ha)
+    np.logical_and(w.present, w.ha, out=w.ha)
+    np.add(w.grt_hi, 1e-12, out=w.b3)
+    np.less_equal(w.graw, w.b3, out=w.hb)
+    np.logical_and(w.ha, w.hb, out=w.ha)
+    np.maximum(w.graw, 0.0, out=w.hclip)
+    np.minimum(w.hclip, w.grt_hi, out=w.hclip)
     w.valid[4:16:4] = w.ha[0]
     w.valid[5:16:4] = w.ha[1]
     w.grt[4:16:4] = w.hclip[0]
@@ -303,17 +206,17 @@ def _candidates_ws(state: BatchSlotState, w: P5Workspace) -> None:
     w.gamma[5:16:4] = w.gamma_hi
 
     # Vertical-edge intersections (grt = 0 row stays 0 by init).
-    xp.copyto(w.grt_edges[1], w.grt_hi)
-    xp.subtract(w.grt_edges[:, None, :], w.intercept, out=w.vraw)
-    xp.divide(w.vraw, w.safe_slope, out=w.vraw)
-    xp.logical_and(w.present, w.lane_ok, out=w.present_ok)
-    xp.greater_equal(w.vraw, -1e-12, out=w.va)
-    xp.logical_and(w.present_ok, w.va, out=w.va)
-    xp.add(w.gamma_hi, 1e-12, out=w.b3)
-    xp.less_equal(w.vraw, w.b3, out=w.vb)
-    xp.logical_and(w.va, w.vb, out=w.va)
-    xp.maximum(w.vraw, 0.0, out=w.vclip)
-    xp.minimum(w.vclip, w.gamma_hi, out=w.vclip)
+    np.copyto(w.grt_edges[1], w.grt_hi)
+    np.subtract(w.grt_edges[:, None, :], w.intercept, out=w.vraw)
+    np.divide(w.vraw, w.safe_slope, out=w.vraw)
+    np.logical_and(w.present, w.lane_ok, out=w.present_ok)
+    np.greater_equal(w.vraw, -1e-12, out=w.va)
+    np.logical_and(w.present_ok, w.va, out=w.va)
+    np.add(w.gamma_hi, 1e-12, out=w.b3)
+    np.less_equal(w.vraw, w.b3, out=w.vb)
+    np.logical_and(w.va, w.vb, out=w.va)
+    np.maximum(w.vraw, 0.0, out=w.vclip)
+    np.minimum(w.vclip, w.gamma_hi, out=w.vclip)
     w.valid[6:16:4] = w.va[0]
     w.valid[7:16:4] = w.va[1]
     w.gamma[6:16:4] = w.vclip[0]
@@ -321,106 +224,105 @@ def _candidates_ws(state: BatchSlotState, w: P5Workspace) -> None:
     w.grt[7:16:4] = w.grt_hi
 
     # Emergency candidate.
-    xp.subtract(state.demand_ds, state.gbef_rate, out=w.b3)
-    xp.subtract(w.b3, state.renewable, out=w.b3)
-    xp.subtract(w.b3, state.discharge_cap, out=w.b3)
-    xp.maximum(w.b3, 0.0, out=w.b3)
-    xp.minimum(w.b3, w.grt_hi, out=w.grt[16])
+    np.subtract(state.demand_ds, state.gbef_rate, out=w.b3)
+    np.subtract(w.b3, state.renewable, out=w.b3)
+    np.subtract(w.b3, state.discharge_cap, out=w.b3)
+    np.maximum(w.b3, 0.0, out=w.b3)
+    np.minimum(w.b3, w.grt_hi, out=w.grt[16])
 
 
-def _objective_ws(state: BatchSlotState, mode: ObjectiveMode,
-                  w: P5Workspace) -> None:
-    """Workspace twin of :func:`_objective_batch` → ``w.values``.
+def _objective(state: BatchSlotState, mode: ObjectiveMode,
+               w: P5Workspace) -> None:
+    """Exact objective per candidate → ``w.values``.
 
-    Consumes the candidate matrices in ``w``; the physics resolution
-    (:func:`_resolve_physics_batch`) is inlined with ``out=`` ops in
-    the identical order.
+    Consumes the candidate matrices in ``w``.  The physics resolution
+    replicates :func:`repro.core.modes.resolve_physics` and the value
+    the matching objective variant, op for op; invalid or infeasible
+    candidates get ``+inf``.
     """
-    xp = w.xp
     grt, gamma = w.grt, w.gamma
 
     # --- resolve_physics, in place -----------------------------------
-    xp.multiply(gamma, state.backlog, out=w.sdt)
-    xp.minimum(w.sdt, state.s_dt_max, out=w.sdt)
-    xp.add(grt, state.gbef_rate, out=w.net)
-    xp.add(w.net, state.renewable, out=w.net)
-    xp.subtract(w.net, state.demand_ds, out=w.net)
-    xp.subtract(w.net, w.sdt, out=w.net)
-    xp.absolute(w.net, out=w.ta)
-    xp.less(w.ta, _BALANCE_TOL, out=w.ma)
-    xp.copyto(w.net, 0.0, where=w.ma)
-    xp.greater_equal(w.net, 0.0, out=w.positive)
-    xp.minimum(w.net, state.charge_cap, out=w.ta)
-    xp.copyto(w.charge, 0.0)
-    xp.copyto(w.charge, w.ta, where=w.positive)
-    xp.subtract(w.net, w.charge, out=w.ta)
-    xp.copyto(w.waste, 0.0)
-    xp.copyto(w.waste, w.ta, where=w.positive)
-    xp.negative(w.net, out=w.deficit)
-    xp.minimum(w.deficit, state.discharge_cap, out=w.ta)
-    xp.copyto(w.discharge, w.ta)
-    xp.copyto(w.discharge, 0.0, where=w.positive)
-    xp.subtract(w.deficit, w.discharge, out=w.ta)
-    xp.copyto(w.unserved, w.ta)
-    xp.copyto(w.unserved, 0.0, where=w.positive)
+    np.multiply(gamma, state.backlog, out=w.sdt)
+    np.minimum(w.sdt, state.s_dt_max, out=w.sdt)
+    np.add(grt, state.gbef_rate, out=w.net)
+    np.add(w.net, state.renewable, out=w.net)
+    np.subtract(w.net, state.demand_ds, out=w.net)
+    np.subtract(w.net, w.sdt, out=w.net)
+    np.absolute(w.net, out=w.ta)
+    np.less(w.ta, _BALANCE_TOL, out=w.ma)
+    np.copyto(w.net, 0.0, where=w.ma)
+    np.greater_equal(w.net, 0.0, out=w.positive)
+    np.minimum(w.net, state.charge_cap, out=w.ta)
+    np.copyto(w.charge, 0.0)
+    np.copyto(w.charge, w.ta, where=w.positive)
+    np.subtract(w.net, w.charge, out=w.ta)
+    np.copyto(w.waste, 0.0)
+    np.copyto(w.waste, w.ta, where=w.positive)
+    np.negative(w.net, out=w.deficit)
+    np.minimum(w.deficit, state.discharge_cap, out=w.ta)
+    np.copyto(w.discharge, w.ta)
+    np.copyto(w.discharge, 0.0, where=w.positive)
+    np.subtract(w.deficit, w.discharge, out=w.ta)
+    np.copyto(w.unserved, w.ta)
+    np.copyto(w.unserved, 0.0, where=w.positive)
 
     # --- objective, in place -----------------------------------------
-    xp.greater(w.charge, 0.0, out=w.ma)
-    xp.greater(w.discharge, 0.0, out=w.mb)
-    xp.logical_or(w.ma, w.mb, out=w.ma)
-    xp.multiply(state.v, state.battery_op_cost, out=w.b1)
-    xp.copyto(w.n_cost, 0.0)
-    xp.copyto(w.n_cost, w.b1, where=w.ma)
+    np.greater(w.charge, 0.0, out=w.ma)
+    np.greater(w.discharge, 0.0, out=w.mb)
+    np.logical_or(w.ma, w.mb, out=w.ma)
+    np.multiply(state.v, state.battery_op_cost, out=w.b1)
+    np.copyto(w.n_cost, 0.0)
+    np.copyto(w.n_cost, w.b1, where=w.ma)
 
     values = w.values
     if mode is ObjectiveMode.PAPER:
-        xp.multiply(state.v, state.price_rt, out=w.b1)
-        xp.subtract(w.b1, state.q_hat, out=w.b1)
-        xp.subtract(w.b1, state.y_hat, out=w.b1)
-        xp.power(state.q_hat, 2, out=w.b2)
-        xp.multiply(state.q_hat, state.y_hat, out=w.b3)
-        xp.subtract(w.b2, w.b3, out=w.b2)
-        xp.add(state.q_hat, state.x_hat, out=w.b3)
-        xp.add(w.b3, state.y_hat, out=w.b3)
-        xp.multiply(state.v, state.waste_penalty, out=w.b4)
-        xp.multiply(grt, w.b1, out=values)
-        xp.multiply(gamma, w.b2, out=w.ta)
-        xp.add(values, w.ta, out=values)
-        xp.add(values, w.n_cost, out=values)
-        xp.multiply(w.waste, w.b4, out=w.ta)
-        xp.add(values, w.ta, out=values)
-        xp.subtract(w.charge, w.discharge, out=w.ta)
-        xp.multiply(w.ta, w.b3, out=w.ta)
-        xp.add(values, w.ta, out=values)
+        np.multiply(state.v, state.price_rt, out=w.b1)
+        np.subtract(w.b1, state.q_hat, out=w.b1)
+        np.subtract(w.b1, state.y_hat, out=w.b1)
+        np.power(state.q_hat, 2, out=w.b2)
+        np.multiply(state.q_hat, state.y_hat, out=w.b3)
+        np.subtract(w.b2, w.b3, out=w.b2)
+        np.add(state.q_hat, state.x_hat, out=w.b3)
+        np.add(w.b3, state.y_hat, out=w.b3)
+        np.multiply(state.v, state.waste_penalty, out=w.b4)
+        np.multiply(grt, w.b1, out=values)
+        np.multiply(gamma, w.b2, out=w.ta)
+        np.add(values, w.ta, out=values)
+        np.add(values, w.n_cost, out=values)
+        np.multiply(w.waste, w.b4, out=w.ta)
+        np.add(values, w.ta, out=values)
+        np.subtract(w.charge, w.discharge, out=w.ta)
+        np.multiply(w.ta, w.b3, out=w.ta)
+        np.add(values, w.ta, out=values)
     else:
-        xp.multiply(state.v, state.battery_margin, out=w.b2)
-        xp.multiply(state.v, state.price_rt, out=w.b3)
-        xp.multiply(state.v, state.waste_penalty, out=w.b4)
-        xp.add(state.q_hat, state.y_hat, out=w.b5)
-        xp.multiply(grt, w.b3, out=values)
-        xp.add(values, w.n_cost, out=values)
-        xp.add(w.charge, w.discharge, out=w.ta)
-        xp.multiply(w.ta, w.b2, out=w.ta)
-        xp.add(values, w.ta, out=values)
-        xp.multiply(w.waste, w.b4, out=w.ta)
-        xp.add(values, w.ta, out=values)
-        xp.multiply(w.sdt, w.b5, out=w.ta)
-        xp.subtract(values, w.ta, out=values)
-        xp.multiply(w.charge, state.eta_c, out=w.ta)
-        xp.multiply(w.discharge, state.eta_d, out=w.tb)
-        xp.subtract(w.ta, w.tb, out=w.ta)
-        xp.multiply(w.ta, state.x_hat, out=w.ta)
-        xp.add(values, w.ta, out=values)
+        np.multiply(state.v, state.battery_margin, out=w.b2)
+        np.multiply(state.v, state.price_rt, out=w.b3)
+        np.multiply(state.v, state.waste_penalty, out=w.b4)
+        np.add(state.q_hat, state.y_hat, out=w.b5)
+        np.multiply(grt, w.b3, out=values)
+        np.add(values, w.n_cost, out=values)
+        np.add(w.charge, w.discharge, out=w.ta)
+        np.multiply(w.ta, w.b2, out=w.ta)
+        np.add(values, w.ta, out=values)
+        np.multiply(w.waste, w.b4, out=w.ta)
+        np.add(values, w.ta, out=values)
+        np.multiply(w.sdt, w.b5, out=w.ta)
+        np.subtract(values, w.ta, out=values)
+        np.multiply(w.charge, state.eta_c, out=w.ta)
+        np.multiply(w.discharge, state.eta_d, out=w.tb)
+        np.subtract(w.ta, w.tb, out=w.ta)
+        np.multiply(w.ta, state.x_hat, out=w.ta)
+        np.add(values, w.ta, out=values)
 
-    xp.greater(w.unserved, _UNSERVED_TOL, out=w.mb)
-    xp.logical_not(w.valid, out=w.mc)
-    xp.logical_or(w.mc, w.mb, out=w.mc)
-    xp.copyto(values, xp.inf, where=w.mc)
+    np.greater(w.unserved, _UNSERVED_TOL, out=w.mb)
+    np.logical_not(w.valid, out=w.mc)
+    np.logical_or(w.mc, w.mb, out=w.mc)
+    np.copyto(values, np.inf, where=w.mc)
 
 
 def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
-                   work: P5Workspace | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   work: P5Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Solve P5 for every scenario; returns ``(grt, gamma)`` arrays.
 
     The physics and objective evaluate once on the whole ``(17, B)``
@@ -428,21 +330,20 @@ def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
     scalar evaluations); the selection scan then walks the 17 rows
     with the scalar tie-breaking rule.  Scenarios where no candidate
     is feasible fall back to the scalar solver's emergency action (buy
-    everything, serve nothing deferrable) — those entries are the
-    scan's untouched initial values, so no separate pass is needed.
+    everything, serve nothing deferrable).
 
-    With ``work`` (a :class:`~repro.backend.workspace.P5Workspace`
-    sized for this batch) the whole solve runs in preallocated
-    buffers; the returned arrays are workspace-owned and valid until
-    the next call.
+    ``work`` must be sized for this batch; the returned arrays are
+    workspace-owned and valid until the next call.
     """
-    if work is not None:
-        return _solve_p5_ws(state, mode, work)
-
-    xp = current_xp()
-    grt_hi, grt, gamma, valid = _candidates_batch(state)
-    values = _objective_batch(state, mode, grt, gamma, valid)
+    w = work
     n = state.backlog.shape[0]
+    if w.batch != n or w.n_candidates != N_CANDIDATES:
+        raise ConfigurationError(
+            f"workspace sized ({w.n_candidates}, {w.batch}) cannot "
+            f"serve a ({N_CANDIDATES}, {n}) solve")
+    _candidates(state, w)
+    _objective(state, mode, w)
+    values = w.values
 
     # The scalar scan accepts a candidate only when it improves the
     # incumbent by more than 1e-12 (earlier candidates keep ties).
@@ -450,56 +351,19 @@ def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
     # m + 1e-12, that scan provably selects the *first* minimizer —
     # argmin's convention — so the common case needs no loop.  Lanes
     # with a value in that gap zone replay the exact scalar cascade.
-    minimum = values.min(axis=0)
-    rows = values.argmin(axis=0)
-    gap_zone = (values <= minimum + 1e-12) & (values != minimum)
-    # Row 2 is exactly the emergency fallback action (grt_hi, 0) the
-    # scalar solver returns when every candidate is infeasible.
-    rows = xp.where(xp.isfinite(minimum), rows, 2)
-    ambiguous = xp.nonzero(gap_zone.any(axis=0))[0]
-    if ambiguous.size:
-        from repro.backend import active_backend
-
-        backend = active_backend()
-        host_rows = np.array(  # replint: ignore[R002] host-side tie-break after an explicit to_numpy pull
-            backend.to_numpy(rows))
-        for lane in ambiguous.tolist():
-            best_value = np.inf
-            best_row = 2
-            for row, value in enumerate(values[:, lane].tolist()):
-                if value < best_value - 1e-12:
-                    best_value = value
-                    best_row = row
-            host_rows[lane] = best_row
-        rows = xp.asarray(host_rows)
-    lanes = _lanes(n)
-    return grt[rows, lanes], gamma[rows, lanes]
-
-
-def _solve_p5_ws(state: BatchSlotState, mode: ObjectiveMode,
-                 w: P5Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Workspace path of :func:`solve_p5_batch` (zero allocations)."""
-    n = state.backlog.shape[0]
-    if w.batch != n or w.n_candidates != N_CANDIDATES:
-        raise ConfigurationError(
-            f"workspace sized ({w.n_candidates}, {w.batch}) cannot "
-            f"serve a ({N_CANDIDATES}, {n}) solve")
-    xp = w.xp
-    _candidates_ws(state, w)
-    _objective_ws(state, mode, w)
-    values = w.values
-
     values.min(axis=0, out=w.minimum)
     values.argmin(axis=0, out=w.rows)
-    xp.add(w.minimum, 1e-12, out=w.threshold)
-    xp.less_equal(values, w.threshold, out=w.ma)
-    xp.not_equal(values, w.minimum, out=w.mb)
-    xp.logical_and(w.ma, w.mb, out=w.ma)
-    xp.isfinite(w.minimum, out=w.lane_ok)
-    xp.logical_not(w.lane_ok, out=w.lane_bad)
-    xp.copyto(w.rows, 2, where=w.lane_bad)
-    xp.logical_or.reduce(w.ma, axis=0, out=w.lane_ok)
-    for lane in xp.nonzero(w.lane_ok)[0].tolist():
+    np.add(w.minimum, 1e-12, out=w.threshold)
+    np.less_equal(values, w.threshold, out=w.ma)
+    np.not_equal(values, w.minimum, out=w.mb)
+    np.logical_and(w.ma, w.mb, out=w.ma)
+    # Row 2 is exactly the emergency fallback action (grt_hi, 0) the
+    # scalar solver returns when every candidate is infeasible.
+    np.isfinite(w.minimum, out=w.lane_ok)
+    np.logical_not(w.lane_ok, out=w.lane_bad)
+    np.copyto(w.rows, 2, where=w.lane_bad)
+    np.logical_or.reduce(w.ma, axis=0, out=w.lane_ok)
+    for lane in np.nonzero(w.lane_ok)[0].tolist():
         best_value = np.inf
         best_row = 2
         for row, value in enumerate(values[:, lane].tolist()):
@@ -508,8 +372,8 @@ def _solve_p5_ws(state: BatchSlotState, mode: ObjectiveMode,
                 best_row = row
         w.rows[lane] = best_row
 
-    xp.multiply(w.rows, n, out=w.flat_index)
-    xp.add(w.flat_index, w.lanes, out=w.flat_index)
-    xp.take(w.grt.reshape(-1), w.flat_index, out=w.out_grt)
-    xp.take(w.gamma.reshape(-1), w.flat_index, out=w.out_gamma)
+    np.multiply(w.rows, n, out=w.flat_index)
+    np.add(w.flat_index, w.lanes, out=w.flat_index)
+    np.take(w.grt.reshape(-1), w.flat_index, out=w.out_grt)
+    np.take(w.gamma.reshape(-1), w.flat_index, out=w.out_gamma)
     return w.out_grt, w.out_gamma

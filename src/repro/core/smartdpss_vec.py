@@ -9,7 +9,11 @@ structure now run in array form:
   vectorized: price normalization, the streaming price mean, battery
   caps and the exact P5 vertex enumeration
   (:func:`repro.core.p5_vec.solve_p5_batch`) all advance as ``(B,)``
-  arrays with no per-scenario Python dispatch.
+  arrays with no per-scenario Python dispatch.  Every per-slot
+  temporary lives in buffers preallocated once per horizon
+  (:class:`RealTimeWorkspace` and
+  :class:`~repro.core.p5_vec.P5Workspace`), written in place with
+  ``out=`` ufunc calls, so the slot loop allocates nothing.
 
 * **Long-term planning (once per coarse slot)** runs through
   :meth:`VecSmartDPSS.prepare_plan_batch` — the array twin of ``B``
@@ -47,22 +51,38 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import current_xp
-from repro.backend.workspace import (
-    P5Workspace,
-    RealTimeWorkspace,
-    workspace_enabled,
-)
 from repro.config.control import SmartDPSSConfig
 from repro.core.bounds import BoundVariant, SystemArrays, compute_bounds
 from repro.core.interfaces import BatchCoarseObservation
 from repro.core.p4 import P4Batch, solve_p4_many
-from repro.core.p5_vec import N_CANDIDATES, BatchSlotState, solve_p5_batch
+from repro.core.p5_vec import (
+    N_CANDIDATES,
+    BatchSlotState,
+    P5Workspace,
+    solve_p5_batch,
+)
 from repro.core.smartdpss import SmartDPSS
 from repro.core.virtual_queues import operational_shift, paper_shift
 from repro.exceptions import ConfigurationError
 from repro.config.system import SystemConfig
 from repro.telemetry.core import TELEMETRY_OFF
+
+
+class RealTimeWorkspace:
+    """Buffers for ``VecSmartDPSS``'s per-slot prep and queue updates."""
+
+    __slots__ = ("price_n", "charge_room", "charge_cap",
+                 "discharge_room", "discharge_cap", "grt_cap", "growth",
+                 "x_value", "usable", "not_usable")
+
+    def __init__(self, batch: int):
+        n = int(batch)
+        for name in ("price_n", "charge_room", "charge_cap",
+                     "discharge_room", "discharge_cap", "grt_cap",
+                     "growth", "x_value"):
+            setattr(self, name, np.empty(n))
+        self.usable = np.empty(n, dtype=bool)
+        self.not_usable = np.empty(n, dtype=bool)
 
 
 class VecSmartDPSS:
@@ -76,12 +96,6 @@ class VecSmartDPSS:
         state so they remain inspectable (frozen weights, virtual
         queues) after a run — but both their per-slot and planning
         paths are bypassed by the vectorized twins.
-    workspace:
-        ``None`` (default) follows
-        :data:`repro.backend.workspace.WORKSPACE_DEFAULT`; ``True`` /
-        ``False`` force the preallocated per-slot buffers on or off.
-        The workspace path is bit-identical to the allocation path
-        and is vetoed automatically on immutable backends.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` (``None`` = off).
         Times the pooled P4 tensor pass (``p4`` span, one per coarse
@@ -91,16 +105,12 @@ class VecSmartDPSS:
     """
 
     def __init__(self, controllers: Sequence[SmartDPSS], *,
-                 workspace: bool | None = None,
                  telemetry=None):
         if not controllers:
             raise ConfigurationError("need at least one controller")
         self.controllers = list(controllers)
-        self._workspace_flag = workspace
         self._telemetry = telemetry if telemetry is not None \
             else TELEMETRY_OFF
-        self._work_p5: P5Workspace | None = None
-        self._work_rt: RealTimeWorkspace | None = None
         modes = {c.config.objective_mode for c in self.controllers}
         if len(modes) > 1:
             raise ConfigurationError(
@@ -189,12 +199,8 @@ class VecSmartDPSS:
         # Preallocated per-slot buffers (one set per horizon; the
         # engine runs one horizon per shard, so this is the per-shard
         # slot workspace the hot path reuses every fine slot).
-        if workspace_enabled(self._workspace_flag):
-            self._work_p5 = P5Workspace(n, N_CANDIDATES)
-            self._work_rt = RealTimeWorkspace(n)
-        else:
-            self._work_p5 = None
-            self._work_rt = None
+        self._work_p5 = P5Workspace(n, N_CANDIDATES)
+        self._work_rt = RealTimeWorkspace(n)
 
     # -- planning (per coarse slot) ------------------------------------
 
@@ -350,123 +356,75 @@ class VecSmartDPSS:
     def real_time(self, obs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized twin of :meth:`SmartDPSS.real_time`.
 
-        With a workspace attached (the default on mutable backends)
-        every per-slot temporary is written into a preallocated buffer
-        with the identical elementwise operations; without one, the
-        expression-style path below runs through the active backend's
-        namespace.  Both produce bit-identical actions.
+        Every per-slot temporary is written into the preallocated
+        :class:`RealTimeWorkspace` with the scalar code's elementwise
+        operations, so the prep allocates nothing.
         """
         w = self._work_rt
-        if w is not None:
-            xp = w.xp
-            xp.divide(obs.price_rt, self._price_scale, out=w.price_n)
-            xp.add(self._rt_sum, w.price_n, out=self._rt_sum)
-            self._rt_count += 1
+        np.divide(obs.price_rt, self._price_scale, out=w.price_n)
+        np.add(self._rt_sum, w.price_n, out=self._rt_sum)
+        self._rt_count += 1
 
-            xp.not_equal(obs.cycle_budget_left, 0, out=w.usable)
-            xp.logical_and(self._use_battery, w.usable, out=w.usable)
-            xp.logical_not(w.usable, out=w.not_usable)
-            xp.subtract(self._b_max, obs.battery_level,
-                        out=w.charge_room)
-            xp.maximum(w.charge_room, 0.0, out=w.charge_room)
-            xp.divide(w.charge_room, self._eta_c, out=w.charge_room)
-            xp.minimum(self._b_charge_max, w.charge_room,
-                       out=w.charge_cap)
-            xp.copyto(w.charge_cap, 0.0, where=w.not_usable)
-            xp.subtract(obs.battery_level, self._b_min,
-                        out=w.discharge_room)
-            xp.maximum(w.discharge_room, 0.0, out=w.discharge_room)
-            xp.divide(w.discharge_room, self._eta_d,
-                      out=w.discharge_room)
-            xp.minimum(self._b_discharge_max, w.discharge_room,
-                       out=w.discharge_cap)
-            xp.copyto(w.discharge_cap, 0.0, where=w.not_usable)
-            xp.minimum(obs.grid_headroom, obs.supply_headroom,
-                       out=w.grt_cap)
-            price_rt = w.price_n
-            charge_cap = w.charge_cap
-            discharge_cap = w.discharge_cap
-            grt_cap = w.grt_cap
-        else:
-            xp = current_xp()
-            price_rt = obs.price_rt / self._price_scale
-            self._rt_sum = self._rt_sum + price_rt
-            self._rt_count += 1
-
-            battery_usable = (self._use_battery
-                              & (obs.cycle_budget_left != 0))
-            charge_room = (xp.maximum(0.0,
-                                      self._b_max - obs.battery_level)
-                           / self._eta_c)
-            charge_cap = xp.where(
-                battery_usable,
-                xp.minimum(self._b_charge_max, charge_room), 0.0)
-            discharge_room = (xp.maximum(0.0,
-                                         obs.battery_level - self._b_min)
-                              / self._eta_d)
-            discharge_cap = xp.where(
-                battery_usable,
-                xp.minimum(self._b_discharge_max, discharge_room), 0.0)
-            grt_cap = xp.minimum(obs.grid_headroom, obs.supply_headroom)
+        np.not_equal(obs.cycle_budget_left, 0, out=w.usable)
+        np.logical_and(self._use_battery, w.usable, out=w.usable)
+        np.logical_not(w.usable, out=w.not_usable)
+        np.subtract(self._b_max, obs.battery_level, out=w.charge_room)
+        np.maximum(w.charge_room, 0.0, out=w.charge_room)
+        np.divide(w.charge_room, self._eta_c, out=w.charge_room)
+        np.minimum(self._b_charge_max, w.charge_room, out=w.charge_cap)
+        np.copyto(w.charge_cap, 0.0, where=w.not_usable)
+        np.subtract(obs.battery_level, self._b_min, out=w.discharge_room)
+        np.maximum(w.discharge_room, 0.0, out=w.discharge_room)
+        np.divide(w.discharge_room, self._eta_d, out=w.discharge_room)
+        np.minimum(self._b_discharge_max, w.discharge_room,
+                   out=w.discharge_cap)
+        np.copyto(w.discharge_cap, 0.0, where=w.not_usable)
+        np.minimum(obs.grid_headroom, obs.supply_headroom, out=w.grt_cap)
 
         state = BatchSlotState(
             q_hat=self._q_hat,
             y_hat=self._y_hat,
             x_hat=self._x_hat,
             v=self._v,
-            price_rt=price_rt,
+            price_rt=w.price_n,
             battery_op_cost=self._op_cost_n,
             waste_penalty=self._waste_n,
             backlog=obs.backlog,
             gbef_rate=obs.long_term_rate,
             renewable=obs.renewable,
             demand_ds=obs.demand_ds,
-            charge_cap=charge_cap,
-            discharge_cap=discharge_cap,
+            charge_cap=w.charge_cap,
+            discharge_cap=w.discharge_cap,
             eta_c=self._eta_c,
             eta_d=self._eta_d,
             s_dt_max=self._s_dt_max,
-            grt_cap=grt_cap,
+            grt_cap=w.grt_cap,
             battery_margin=self._margin_n,
         )
         tele = self._telemetry
         if not tele.enabled:
-            return solve_p5_batch(state, self.mode, work=self._work_p5)
+            return solve_p5_batch(state, self.mode, self._work_p5)
         t0 = tele.clock()
-        decision = solve_p5_batch(state, self.mode, work=self._work_p5)
+        decision = solve_p5_batch(state, self.mode, self._work_p5)
         tele.add_time("p5", tele.clock() - t0)
         return decision
 
     def end_slot(self, feedback) -> None:
         """Vectorized queue updates (eq. 12 and the battery tracker)."""
         w = self._work_rt
-        if w is not None:
-            xp = w.xp
-            xp.copyto(w.growth, 0.0)
-            xp.copyto(w.growth, self._epsilon,
-                      where=feedback.had_backlog)
-            xp.subtract(self._y, feedback.served_dt, out=self._y)
-            xp.add(self._y, w.growth, out=self._y)
-            xp.maximum(self._y, 0.0, out=self._y)
-            xp.maximum(self._y_peak, self._y, out=self._y_peak)
-            # w.x_value is a dedicated buffer: the frozen ``x_hat``
-            # (aliased to the boundary's x_value array) must not be
-            # overwritten mid-window, so this rebinding-into-a-buffer
-            # mirrors the allocation path's rebinding-to-a-new-array.
-            xp.subtract(feedback.battery_level, self._shift,
-                        out=w.x_value)
-            self._x_value = w.x_value
-            xp.minimum(self._x_min, w.x_value, out=self._x_min)
-            xp.maximum(self._x_max, w.x_value, out=self._x_max)
-            self._x_observed = True
-            return
-        xp = current_xp()
-        growth = xp.where(feedback.had_backlog, self._epsilon, 0.0)
-        self._y = xp.maximum(self._y - feedback.served_dt + growth, 0.0)
-        self._y_peak = xp.maximum(self._y_peak, self._y)
-        self._x_value = feedback.battery_level - self._shift
-        self._x_min = xp.minimum(self._x_min, self._x_value)
-        self._x_max = xp.maximum(self._x_max, self._x_value)
+        np.copyto(w.growth, 0.0)
+        np.copyto(w.growth, self._epsilon, where=feedback.had_backlog)
+        np.subtract(self._y, feedback.served_dt, out=self._y)
+        np.add(self._y, w.growth, out=self._y)
+        np.maximum(self._y, 0.0, out=self._y)
+        np.maximum(self._y_peak, self._y, out=self._y_peak)
+        # w.x_value is a dedicated buffer: the frozen ``x_hat`` (aliased
+        # to the boundary's freshly built x_value array) must not be
+        # overwritten mid-window.
+        np.subtract(feedback.battery_level, self._shift, out=w.x_value)
+        self._x_value = w.x_value
+        np.minimum(self._x_min, w.x_value, out=self._x_min)
+        np.maximum(self._x_max, w.x_value, out=self._x_max)
         self._x_observed = True
 
     def finalize(self) -> None:

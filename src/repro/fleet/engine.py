@@ -366,10 +366,8 @@ class StreamingBatchSimulator(BatchSimulator):
     def __init__(self, runs: Sequence[StreamRunSpec],
                  controller: BatchController | None = None,
                  *, chunk_coarse: int = 4, batch_traces: bool = True,
-                 workspace: bool | None = None, telemetry=None,
-                 faults=None):
-        self._init_group(runs, controller, workspace=workspace,
-                         telemetry=telemetry)
+                 telemetry=None, faults=None):
+        self._init_group(runs, controller, telemetry=telemetry)
         if chunk_coarse < 1:
             raise ConfigurationError(
                 f"chunk_coarse must be >= 1, got {chunk_coarse}")
@@ -819,10 +817,8 @@ class StreamingBatchSimulator(BatchSimulator):
 
 def simulate_stream(runs: Sequence[StreamRunSpec],
                     chunk_coarse: int = 4,
-                    batch_traces: bool = True,
-                    workspace: bool | None = None
+                    batch_traces: bool = True
                     ) -> list[ScenarioMetrics]:
     """Convenience wrapper mirroring :func:`repro.sim.batch.simulate_many`."""
     return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse,
-                                   batch_traces=batch_traces,
-                                   workspace=workspace).run()
+                                   batch_traces=batch_traces).run()

@@ -172,7 +172,6 @@ def _attach_offline_gap(systems: "list", block: TraceBlock,
                         traces_list: "list[TraceSet]",
                         metrics: "list[ScenarioMetrics]",
                         chunk_coarse: int,
-                        workspace: bool | None,
                         telemetry=None, faults=None
                         ) -> "list[ScenarioMetrics]":
     """Add the offline-gap columns to one shard's metrics.
@@ -242,7 +241,7 @@ def _attach_offline_gap(systems: "list", block: TraceBlock,
         # not to the policy run's plan/real_time/physics breakdown.
         replay = StreamingBatchSimulator(
             runs, controller=OfflinePlanBatch([plans[i] for i in planned]),
-            chunk_coarse=chunk_coarse, workspace=workspace).run()
+            chunk_coarse=chunk_coarse).run()
         replay_by_index = dict(zip(planned, replay))
     if tele is not None and tele.enabled:
         tele.add_time("offline_replay", tele.clock() - t0)
@@ -266,7 +265,7 @@ def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
                        metrics: "list[ScenarioMetrics]", *,
                        robustness: Mapping[str, object],
                        chunk_coarse: int, batch_traces: bool,
-                       workspace: bool | None, streamable: bool,
+                       streamable: bool,
                        telemetry=None) -> "list[ScenarioMetrics]":
     """Add the paired-noisy columns to one shard's metrics.
 
@@ -299,7 +298,7 @@ def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
             for run, spec, observation in zip(runs, specs, observations)]
         noisy = StreamingBatchSimulator(
             noisy_runs, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces, workspace=workspace).run()
+            batch_traces=batch_traces).run()
     else:
         noisy_specs = [
             RunSpec(system=systems[i],
@@ -309,7 +308,7 @@ def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
                         traces_list[i]),
                     grid_capacity=runs[i].grid_capacity)
             for i in range(len(specs))]
-        results = run_group_batch(noisy_specs, workspace=workspace)
+        results = run_group_batch(noisy_specs)
         noisy = [ScenarioMetrics.from_result(result, seed=spec.seed)
                  for spec, result in zip(specs, results)]
     if tele is not None and tele.enabled:
@@ -364,7 +363,6 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     batch_traces = bool(payload.get("batch_traces", True))
     offline_gap = bool(payload.get("offline_gap", False))
     robustness = payload.get("robustness")
-    workspace = payload.get("workspace")
     tele = Telemetry() if payload.get("telemetry") else None
     faults = None
     if payload.get("fault_plan"):
@@ -403,8 +401,8 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             tele.add_time("build", tele.clock() - build_t0)
         metrics = StreamingBatchSimulator(
             runs, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces, workspace=workspace,
-            telemetry=tele, faults=faults).run()
+            batch_traces=batch_traces, telemetry=tele,
+            faults=faults).run()
         engine = "stream"
     else:
         runs = [RunSpec(system=system,
@@ -425,22 +423,21 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             faults.fire("traces")
             faults.fire("plan")
             faults.fire("slot_loop")
-        results = run_group_batch(runs, workspace=workspace,
-                                  telemetry=tele)
+        results = run_group_batch(runs, telemetry=tele)
         metrics = [ScenarioMetrics.from_result(result, seed=spec.seed)
                    for spec, result in zip(specs, results)]
         engine = "batch"
 
     if offline_gap:
         metrics = _attach_offline_gap(systems, block, traces_list,
-                                      metrics, chunk_coarse, workspace,
+                                      metrics, chunk_coarse,
                                       telemetry=tele, faults=faults)
     if robustness:
         metrics = _attach_robustness(
             specs, systems, runs, traces_list, metrics,
             robustness=robustness, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces, workspace=workspace,
-            streamable=streamable, telemetry=tele)
+            batch_traces=batch_traces, streamable=streamable,
+            telemetry=tele)
     stamped = []
     for metric, observation in zip(metrics, observations):
         rel = observation.rel_error if observation is not None else None
@@ -513,10 +510,6 @@ class FleetRunner:
         kernels (default).  ``False`` forces the per-scenario scalar
         cursors — bit-identical, and what the trace benchmark uses as
         its baseline.
-    workspace:
-        Per-shard slot-workspace knob forwarded to the engines
-        (``None`` follows
-        :data:`repro.backend.workspace.WORKSPACE_DEFAULT`).
     offline_gap:
         Compute the clairvoyant offline baseline per scenario and add
         ``offline_cost`` / ``offline_gap`` columns to every record.
@@ -583,7 +576,6 @@ class FleetRunner:
                  max_workers: int | None = None,
                  store=None, resume: bool = True,
                  batch_traces: bool = True,
-                 workspace: bool | None = None,
                  offline_gap: bool = False,
                  telemetry: bool = False,
                  max_retries: int = 2,
@@ -621,7 +613,6 @@ class FleetRunner:
         self.store = store
         self.resume = resume
         self.batch_traces = batch_traces
-        self.workspace = workspace
         self.offline_gap = offline_gap
         self.telemetry = bool(telemetry)
         self.max_retries = max_retries
@@ -678,7 +669,6 @@ class FleetRunner:
                     "chunk_coarse": self.chunk_coarse,
                     "streamable": bool(key[-1]),
                     "batch_traces": self.batch_traces,
-                    "workspace": self.workspace,
                     "offline_gap": self.offline_gap,
                     "robustness": self.robustness,
                     "telemetry": self.telemetry,
@@ -1105,7 +1095,6 @@ class FleetRunner:
             batch_size=self.batch_size,
             chunk_coarse=self.chunk_coarse,
             batch_traces=self.batch_traces,
-            workspace=self.workspace,
             offline_gap=self.offline_gap,
             elapsed_s=elapsed_s,
             snapshot=merged,

@@ -387,18 +387,11 @@ class _BatchPaperCursor:
     def __init__(self, stream: "BatchTraceStream"):
         self._stream = stream
         batch = stream.n_scenarios
-        if rng_mod.BATCHED_SEEDING:
-            # One vectorized seed-hashing pass for all B x 9 substream
-            # generators — streams bit-identical to the per-generator
-            # construction below (see repro.rng.substream_rngs_batch).
-            rngs = rng_mod.substream_rngs_batch(
-                [source.seed for source in stream.streams], _SUBSTREAMS)
-        else:
-            rngs = {name: [] for name in _SUBSTREAMS}
-            for source in stream.streams:
-                for name, rng in _substream_rngs(source.seed).items():
-                    rngs[name].append(rng)
-        self._rngs = rngs
+        # One vectorized seed-hashing pass for all B x 9 substream
+        # generators — streams bit-identical to the scalar cursors'
+        # per-generator construction (see repro.rng.substream_rngs_batch).
+        self._rngs = rng_mod.substream_rngs_batch(
+            [source.seed for source in stream.streams], _SUBSTREAMS)
         self._demand_level = np.zeros(batch)
         self._cloud_state = np.full(batch, -1, dtype=np.int64)
         self._solar_level = np.zeros(batch)

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("human", "json"), default="human",
         help="output format (default: human)")
     parser.add_argument(
-        "--rules", metavar="R001,R002,...",
+        "--rules", metavar="R001,R003,...",
         help="comma-separated rule ids to run (default: all)")
     parser.add_argument(
         "--list-rules", action="store_true",

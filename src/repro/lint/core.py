@@ -39,11 +39,6 @@ _SUPPRESS_RE = re.compile(
     r"#\s*replint:\s*ignore\[(?P<rules>R\d{3}(?:\s*,\s*R\d{3})*)\]"
     r"\s*(?P<reason>.*)$")
 
-#: Module-level marker opting a file into the backend-purity rule
-#: (R002) in addition to the known kernel modules.
-BACKEND_GENERIC_MARKER = "# replint: backend-generic"
-
-
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location."""
@@ -119,9 +114,8 @@ class ModuleContext:
         """Whether ``node`` sits inside a type annotation.
 
         Annotations are type-level references, not runtime compute, so
-        e.g. ``np.ndarray`` in a signature never violates
-        backend-purity and ``np.random.Generator`` in a signature never
-        violates rng-discipline.
+        e.g. ``np.random.Generator`` in a signature never violates
+        rng-discipline.
         """
         return id(node) in self._annotation_nodes
 

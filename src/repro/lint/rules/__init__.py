@@ -9,7 +9,6 @@ instance, then append it to :data:`ALL_RULES` here and document it in
 from __future__ import annotations
 
 from repro.lint.rules.rng_discipline import RULE as R001_RNG_DISCIPLINE
-from repro.lint.rules.backend_purity import RULE as R002_BACKEND_PURITY
 from repro.lint.rules.exception_taxonomy import (
     RULE as R003_EXCEPTION_TAXONOMY,
 )
@@ -19,10 +18,10 @@ from repro.lint.rules.store_discipline import (
 from repro.lint.rules.wallclock import RULE as R005_WALLCLOCK_HYGIENE
 from repro.lint.rules.telemetry_guard import RULE as R006_TELEMETRY_GUARD
 
-#: Every shipped rule, in id order.
+#: Every shipped rule, in id order (R002 is retired; ids are never
+#: reused).
 ALL_RULES = (
     R001_RNG_DISCIPLINE,
-    R002_BACKEND_PURITY,
     R003_EXCEPTION_TAXONOMY,
     R004_STORE_DISCIPLINE,
     R005_WALLCLOCK_HYGIENE,

@@ -25,15 +25,6 @@ from repro.exceptions import ConfigurationError
 #: Root seed used by the paper-preset traces when none is given.
 DEFAULT_SEED = 20130708  # ICDCS 2013 began July 8, 2013.
 
-#: Whether batch consumers (the fleet's batched trace cursor) may mint
-#: their generators through :func:`substream_rngs_batch` — one
-#: vectorized seed-hashing pass instead of per-generator
-#: ``SeedSequence`` construction (~8x cheaper, streams identical).
-#: The benchmark flips this off to time the construction-per-generator
-#: reference.
-BATCHED_SEEDING = True
-
-
 def substream_seed(root_seed: int, name: str) -> int:
     """Derive a stable 63-bit seed for a named substream.
 
@@ -72,7 +63,7 @@ def make_rng(root_seed: int, name: str) -> np.random.Generator:
 # (same constants, same hash-constant schedule, same pool cycling), so
 # the resulting generators are bit-identical to
 # ``Generator(PCG64(SeedSequence(seed)))`` — property-tested against
-# numpy in ``tests/test_backend.py``.
+# numpy in ``tests/test_rng.py``.
 
 #: ``SeedSequence`` hashing constants (numpy/random/bit_generator.pyx).
 _XSHIFT = np.uint32(16)

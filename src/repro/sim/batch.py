@@ -6,8 +6,9 @@ through the per-slot physics in Python; every figure of the paper is a
 ``B`` independent scenarios advancing through identical physics.
 :class:`BatchSimulator` moves all of them per slot in ``(B,)`` array
 form — eq.-4 supply-demand balance, battery SOC dynamics, backlog
-queue and billing — with controllers plugged in through a batch
-protocol:
+queue and billing — in place: every per-slot temporary lives in one
+:class:`PhysicsWorkspace` allocated per run, so the slot loop
+allocates nothing.  Controllers plug in through a batch protocol:
 
 * :class:`~repro.core.smartdpss_vec.VecSmartDPSS` — SmartDPSS with the
   P5 hot path fully vectorized;
@@ -35,7 +36,6 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.backend.workspace import PhysicsWorkspace, workspace_enabled
 from repro.config.system import SystemConfig
 from repro.core.interfaces import (
     BatchCoarseObservation,
@@ -207,6 +207,39 @@ class ScalarControllerBatch:
             ))
 
 
+class PhysicsWorkspace:
+    """Buffers for the engine's per-slot physics resolution."""
+
+    __slots__ = (
+        "rate", "grid_headroom", "supply_headroom", "budget_left",
+        "grt", "ta", "tb", "cost_rt", "sdt_request", "desired",
+        "surplus", "need", "discharge_cap", "covered",
+        "discharge_request", "sdt", "unserved", "served_ds",
+        "charge_request", "accepted", "waste", "cost_battery",
+        "cost_lt", "cost_waste", "cost_total", "renewable_used",
+        "curtailed", "supply",
+        "m1", "m2", "had_backlog", "surplus_branch",
+        "full_cover", "served_whole", "covers_ds", "allowed",
+        "not_allowed",
+    )
+
+    def __init__(self, batch: int):
+        n = int(batch)
+        for name in ("rate", "grid_headroom", "supply_headroom",
+                     "budget_left", "grt", "ta", "tb", "cost_rt",
+                     "sdt_request", "desired", "surplus", "need",
+                     "discharge_cap", "covered", "discharge_request",
+                     "sdt", "unserved", "served_ds", "charge_request",
+                     "accepted", "waste", "cost_battery", "cost_lt",
+                     "cost_waste", "cost_total", "renewable_used",
+                     "curtailed", "supply"):
+            setattr(self, name, np.empty(n))
+        for name in ("m1", "m2", "had_backlog", "surplus_branch",
+                     "full_cover", "served_whole", "covers_ds",
+                     "allowed", "not_allowed"):
+            setattr(self, name, np.empty(n, dtype=bool))
+
+
 class _RunState:
     """Mutable physical state threaded through one batch run."""
 
@@ -242,9 +275,8 @@ class BatchSimulator:
 
     def __init__(self, runs: Sequence[RunSpec],
                  controller: BatchController | None = None,
-                 *, workspace: bool | None = None, telemetry=None):
-        self._init_group(runs, controller, workspace=workspace,
-                         telemetry=telemetry)
+                 *, telemetry=None):
+        self._init_group(runs, controller, telemetry=telemetry)
         n_slots = self._n_slots
         t_slots = self._t_slots
         systems = self.systems
@@ -285,16 +317,12 @@ class BatchSimulator:
         self._check_prices()
 
     def _init_group(self, runs: Sequence, controller,
-                    workspace: bool | None = None,
                     telemetry=None) -> None:
         """Shape checks, controller selection and parameter stacking.
 
         Shared with the streaming subclass, so it only relies on each
         run's ``system`` and ``controller`` attributes — never on
-        resident trace arrays.  ``workspace`` governs both the
-        engine's physics workspace and the auto-built controller's
-        (an explicitly supplied ``controller`` manages its own knob).
-        ``telemetry`` (``None`` = off) is an explicitly-passed
+        resident trace arrays.  ``telemetry`` (``None`` = off) is an explicitly-passed
         :class:`~repro.telemetry.Telemetry`; instrumentation only
         reads clocks, so records are bit-identical either way.
         """
@@ -312,15 +340,13 @@ class BatchSimulator:
         self._telemetry = telemetry if telemetry is not None \
             else TELEMETRY_OFF
         self.controller = controller if controller is not None \
-            else _default_controller(self.runs, workspace=workspace,
-                                     telemetry=self._telemetry)
+            else _default_controller(self.runs, telemetry=self._telemetry)
 
         self._n_slots = systems[0].horizon_slots
         self._t_slots = systems[0].fine_slots_per_coarse
         self._batch = len(self.runs)
         self._slot0 = 0
         self._coarse0 = 0
-        self._workspace_flag = workspace
         self._work: PhysicsWorkspace | None = None
         self._p_grid = np.array([s.p_grid for s in systems])
         self._s_max = np.array([s.s_max for s in systems])
@@ -407,9 +433,7 @@ class BatchSimulator:
             block=np.zeros(batch))
         # One slot workspace per run (per shard): the physics hot path
         # reuses these buffers every fine slot instead of allocating.
-        self._work = (PhysicsWorkspace(batch)
-                      if workspace_enabled(self._workspace_flag)
-                      else None)
+        self._work = PhysicsWorkspace(batch)
         self.controller.begin_horizon(systems)
         return state
 
@@ -429,6 +453,7 @@ class BatchSimulator:
         coarse = slot // t_slots
         tele = self._telemetry
 
+        w = self._work
         if slot % t_slots == 0:
             t0 = tele.clock() if tele.enabled else 0.0
             gbef = np.asarray(
@@ -439,32 +464,23 @@ class BatchSimulator:
             state.block = np.minimum(np.maximum(0.0, gbef),
                                      self._block_cap)
             state.lt_ledger.record(
-                state.block, self._true_plt[:, coarse - self._coarse0])
+                state.block, self._true_plt[:, coarse - self._coarse0],
+                w.cost_lt, w.m1)
             if tele.enabled:
                 tele.add_time("plan", tele.clock() - t0)
                 tele.count("boundaries")
 
         cap = self._capacity[:, slot - self._slot0]
         observed_r = self._obs_ren[:, slot - self._slot0]
-        w = self._work
-        if w is None:
-            rate = np.minimum(state.block / t_slots, cap)
-            grid_headroom = np.maximum(0.0, cap - rate)
-            supply_headroom = np.maximum(
-                0.0, self._s_max - rate - observed_r)
-            budget_left = cycles.remaining
-        else:
-            xp = w.xp
-            rate = xp.divide(state.block, t_slots, out=w.rate)
-            xp.minimum(rate, cap, out=rate)
-            grid_headroom = xp.subtract(cap, rate, out=w.grid_headroom)
-            xp.maximum(0.0, grid_headroom, out=grid_headroom)
-            supply_headroom = xp.subtract(self._s_max, rate,
-                                          out=w.supply_headroom)
-            xp.subtract(supply_headroom, observed_r,
-                        out=supply_headroom)
-            xp.maximum(0.0, supply_headroom, out=supply_headroom)
-            budget_left = cycles.remaining_into(w.budget_left)
+        rate = np.divide(state.block, t_slots, out=w.rate)
+        np.minimum(rate, cap, out=rate)
+        grid_headroom = np.subtract(cap, rate, out=w.grid_headroom)
+        np.maximum(0.0, grid_headroom, out=grid_headroom)
+        supply_headroom = np.subtract(self._s_max, rate,
+                                      out=w.supply_headroom)
+        np.subtract(supply_headroom, observed_r, out=supply_headroom)
+        np.maximum(0.0, supply_headroom, out=supply_headroom)
+        budget_left = cycles.remaining_into(w.budget_left)
 
         t0 = tele.clock() if tele.enabled else 0.0
         grt_request, gamma = self.controller.real_time(
@@ -486,16 +502,12 @@ class BatchSimulator:
             tele.add_time("real_time", tele.clock() - t0)
         grt_request = np.asarray(grt_request, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
-        if w is None:
-            bad_grt = bool(np.any(grt_request < 0))
-            bad_gamma = bool(np.any(gamma < 0) or np.any(gamma > 1))
-        else:
-            xp.less(grt_request, 0, out=w.m1)
-            bad_grt = bool(w.m1.any())
-            xp.less(gamma, 0, out=w.m1)
-            xp.greater(gamma, 1, out=w.m2)
-            xp.logical_or(w.m1, w.m2, out=w.m1)
-            bad_gamma = bool(w.m1.any())
+        np.less(grt_request, 0, out=w.m1)
+        bad_grt = bool(w.m1.any())
+        np.less(gamma, 0, out=w.m1)
+        np.greater(gamma, 1, out=w.m2)
+        np.logical_or(w.m1, w.m2, out=w.m1)
+        bad_gamma = bool(w.m1.any())
         if bad_grt:
             worst = float(grt_request.min())
             raise InfeasibleActionError(
@@ -592,11 +604,13 @@ class BatchSimulator:
                       recorder: BatchRecorder) -> None:
         """Vector twin of ``Simulator._step_physics`` (one slot).
 
-        With a slot workspace (:attr:`_work`) every temporary lands in
-        a preallocated buffer via the identical elementwise IEEE-754
-        operations — see :func:`_step_physics_ws`; results are
-        bit-identical either way.
+        Every temporary lands in the preallocated
+        :class:`PhysicsWorkspace` via the scalar engine's elementwise
+        IEEE-754 operations in the same order; ``if``/``else``
+        selections become a fill plus a masked ``copyto`` of the
+        branch values.
         """
+        w = self._work
         local = slot - self._slot0
         dds = self._true_dds[:, local]
         ddt = self._true_ddt[:, local]
@@ -604,192 +618,86 @@ class BatchSimulator:
         prt = self._true_prt[:, local]
         plt = self._true_plt[:, coarse - self._coarse0]
 
-        if self._work is not None:
-            self._step_physics_ws(
-                self._work, slot, rate, grt_request, gamma, battery,
-                backlog, cycles, grid_headroom, rt_ledger, recorder,
-                dds, ddt, renewable, prt, plt)
-            return
-
         # Clamp the real-time purchase to the feeder and supply caps.
-        grt = np.minimum(grt_request, grid_headroom)
-        grt = np.minimum(grt,
-                         np.maximum(0.0, self._s_max - rate - renewable))
-        cost_rt = rt_ledger.record(grt, prt)
+        np.minimum(grt_request, grid_headroom, out=w.grt)
+        np.subtract(self._s_max, rate, out=w.ta)
+        np.subtract(w.ta, renewable, out=w.ta)
+        np.maximum(0.0, w.ta, out=w.ta)
+        np.minimum(w.grt, w.ta, out=w.grt)
+        cost_rt = rt_ledger.record(w.grt, prt, w.cost_rt, w.m1)
 
         # Renewable curtailment if the bus is over the supply cap.
-        renewable_used = np.minimum(
-            renewable, np.maximum(0.0, self._s_max - rate - grt))
-        curtailed = renewable - renewable_used
-        supply = rate + grt + renewable_used
+        np.subtract(self._s_max, rate, out=w.ta)
+        np.subtract(w.ta, w.grt, out=w.ta)
+        np.maximum(0.0, w.ta, out=w.ta)
+        np.minimum(renewable, w.ta, out=w.renewable_used)
+        np.subtract(renewable, w.renewable_used, out=w.curtailed)
+        np.add(rate, w.grt, out=w.supply)
+        np.add(w.supply, w.renewable_used, out=w.supply)
 
         # Service resolution: delay-sensitive first.
-        had_backlog = backlog.has_backlog
-        q_now = backlog.backlog
-        sdt_request = np.minimum(gamma * q_now, self._s_dt_max)
-        allowed = ~cycles.exhausted
+        backlog.has_backlog(w.had_backlog)
+        np.multiply(gamma, backlog.backlog, out=w.sdt_request)
+        np.minimum(w.sdt_request, self._s_dt_max, out=w.sdt_request)
+        cycles.remaining_into(w.ta)
+        np.equal(w.ta, 0.0, out=w.m1)
+        np.logical_not(w.m1, out=w.allowed)
 
-        desired = dds + sdt_request
-        surplus_branch = supply >= desired - 1e-12
+        np.add(dds, w.sdt_request, out=w.desired)
+        np.subtract(w.desired, 1e-12, out=w.ta)
+        np.greater_equal(w.supply, w.ta, out=w.surplus_branch)
 
-        surplus = np.maximum(0.0, supply - desired)
-        np.copyto(surplus, 0.0, where=surplus < 1e-12)
-        charge_request = np.where(
-            surplus_branch & allowed & (surplus > 0.0), surplus, 0.0)
+        np.subtract(w.supply, w.desired, out=w.surplus)
+        np.maximum(0.0, w.surplus, out=w.surplus)
+        np.less(w.surplus, 1e-12, out=w.m1)
+        np.copyto(w.surplus, 0.0, where=w.m1)
+        np.greater(w.surplus, 0.0, out=w.m1)
+        np.logical_and(w.surplus_branch, w.allowed, out=w.m2)
+        np.logical_and(w.m2, w.m1, out=w.m2)
+        np.copyto(w.charge_request, 0.0)
+        np.copyto(w.charge_request, w.surplus, where=w.m2)
 
-        need = desired - supply
-        discharge_cap = np.where(allowed, battery.available, 0.0)
-        full_cover = discharge_cap >= need
-        covered = supply + discharge_cap
-        discharge_request = np.where(
-            surplus_branch, 0.0,
-            np.where(full_cover, need, discharge_cap))
-        served_whole = surplus_branch | full_cover
-        covers_ds = covered >= dds
-        sdt = np.where(
-            served_whole, sdt_request,
-            np.where(covers_ds, covered - dds, 0.0))
-        unserved = np.where(
-            served_whole, 0.0,
-            np.where(covers_ds, 0.0, dds - covered))
+        np.subtract(w.desired, w.supply, out=w.need)
+        battery.available(w.discharge_cap)
+        np.logical_not(w.allowed, out=w.not_allowed)
+        np.copyto(w.discharge_cap, 0.0, where=w.not_allowed)
+        np.greater_equal(w.discharge_cap, w.need, out=w.full_cover)
+        np.add(w.supply, w.discharge_cap, out=w.covered)
+        np.copyto(w.discharge_request, w.discharge_cap)
+        np.copyto(w.discharge_request, w.need, where=w.full_cover)
+        np.copyto(w.discharge_request, 0.0, where=w.surplus_branch)
+        np.logical_or(w.surplus_branch, w.full_cover,
+                      out=w.served_whole)
+        np.greater_equal(w.covered, dds, out=w.covers_ds)
+        np.subtract(w.covered, dds, out=w.ta)
+        np.copyto(w.sdt, 0.0)
+        np.copyto(w.sdt, w.ta, where=w.covers_ds)
+        np.copyto(w.sdt, w.sdt_request, where=w.served_whole)
+        np.subtract(dds, w.covered, out=w.ta)
+        np.copyto(w.unserved, 0.0)
+        np.logical_or(w.covers_ds, w.served_whole, out=w.m1)
+        np.logical_not(w.m1, out=w.m1)
+        np.copyto(w.unserved, w.ta, where=w.m1)
 
         # Battery settlement: the two requests are elementwise disjoint
         # and zero requests leave levels bit-identical (see VecBattery).
-        charge = battery.settle(charge_request, discharge_request)
-        discharge = discharge_request
-        waste = np.where(surplus_branch, surplus - charge, 0.0)
-
-        cost_battery = cycles.record(charge, discharge)
-        backlog.step(sdt, ddt)
-
-        cost_lt = rate * plt
-        cost_waste = waste * self._waste_penalty
-        recorder.record(
-            cost_lt=cost_lt,
-            cost_rt=cost_rt,
-            cost_battery=cost_battery,
-            cost_waste=cost_waste,
-            cost_total=cost_lt + cost_rt + cost_battery + cost_waste,
-            gbef_rate=rate,
-            grt=grt,
-            renewable_used=renewable_used,
-            renewable_curtailed=curtailed,
-            served_ds=dds - unserved,
-            served_dt=sdt,
-            unserved_ds=unserved,
-            charge=charge,
-            discharge=discharge,
-            battery_level=battery.level,
-            waste=waste,
-            backlog=backlog.backlog,
-            gamma=gamma,
-        )
-        self.controller.end_slot(BatchSlotFeedback(
-            fine_slot=slot,
-            served_dt=sdt,
-            served_ds=dds - unserved,
-            unserved_ds=unserved,
-            charge=charge,
-            discharge=discharge,
-            waste=waste,
-            battery_level=battery.level,
-            backlog=backlog.backlog,
-            had_backlog=had_backlog,
-        ))
-
-    def _step_physics_ws(self, w, slot: int, rate, grt_request, gamma,
-                         battery: VecBattery, backlog: VecBacklog,
-                         cycles: VecCycleLedger, grid_headroom,
-                         rt_ledger: VecMarketLedger, recorder,
-                         dds, ddt, renewable, prt, plt) -> None:
-        """Workspace twin of the allocation-path physics above.
-
-        Every operation mirrors its allocation-path line (same ufunc,
-        same operand order); ``np.where`` selections become a fill
-        plus masked ``copyto`` of the identical branch values.
-        """
-        xp = w.xp
-
-        # Clamp the real-time purchase to the feeder and supply caps.
-        xp.minimum(grt_request, grid_headroom, out=w.grt)
-        xp.subtract(self._s_max, rate, out=w.ta)
-        xp.subtract(w.ta, renewable, out=w.ta)
-        xp.maximum(0.0, w.ta, out=w.ta)
-        xp.minimum(w.grt, w.ta, out=w.grt)
-        cost_rt = rt_ledger.record_into(w.grt, prt, w.cost_rt, w.m1)
-
-        # Renewable curtailment if the bus is over the supply cap.
-        xp.subtract(self._s_max, rate, out=w.ta)
-        xp.subtract(w.ta, w.grt, out=w.ta)
-        xp.maximum(0.0, w.ta, out=w.ta)
-        xp.minimum(renewable, w.ta, out=w.renewable_used)
-        xp.subtract(renewable, w.renewable_used, out=w.curtailed)
-        xp.add(rate, w.grt, out=w.supply)
-        xp.add(w.supply, w.renewable_used, out=w.supply)
-
-        # Service resolution: delay-sensitive first.
-        backlog.has_backlog_into(w.had_backlog)
-        xp.multiply(gamma, backlog.backlog, out=w.sdt_request)
-        xp.minimum(w.sdt_request, self._s_dt_max, out=w.sdt_request)
-        cycles.remaining_into(w.ta)
-        xp.equal(w.ta, 0.0, out=w.m1)
-        xp.logical_not(w.m1, out=w.allowed)
-
-        xp.add(dds, w.sdt_request, out=w.desired)
-        xp.subtract(w.desired, 1e-12, out=w.ta)
-        xp.greater_equal(w.supply, w.ta, out=w.surplus_branch)
-
-        xp.subtract(w.supply, w.desired, out=w.surplus)
-        xp.maximum(0.0, w.surplus, out=w.surplus)
-        xp.less(w.surplus, 1e-12, out=w.m1)
-        xp.copyto(w.surplus, 0.0, where=w.m1)
-        xp.greater(w.surplus, 0.0, out=w.m1)
-        xp.logical_and(w.surplus_branch, w.allowed, out=w.m2)
-        xp.logical_and(w.m2, w.m1, out=w.m2)
-        xp.copyto(w.charge_request, 0.0)
-        xp.copyto(w.charge_request, w.surplus, where=w.m2)
-
-        xp.subtract(w.desired, w.supply, out=w.need)
-        battery.available_into(w.discharge_cap)
-        xp.logical_not(w.allowed, out=w.not_allowed)
-        xp.copyto(w.discharge_cap, 0.0, where=w.not_allowed)
-        xp.greater_equal(w.discharge_cap, w.need, out=w.full_cover)
-        xp.add(w.supply, w.discharge_cap, out=w.covered)
-        xp.copyto(w.discharge_request, w.discharge_cap)
-        xp.copyto(w.discharge_request, w.need, where=w.full_cover)
-        xp.copyto(w.discharge_request, 0.0, where=w.surplus_branch)
-        xp.logical_or(w.surplus_branch, w.full_cover,
-                      out=w.served_whole)
-        xp.greater_equal(w.covered, dds, out=w.covers_ds)
-        xp.subtract(w.covered, dds, out=w.ta)
-        xp.copyto(w.sdt, 0.0)
-        xp.copyto(w.sdt, w.ta, where=w.covers_ds)
-        xp.copyto(w.sdt, w.sdt_request, where=w.served_whole)
-        xp.subtract(dds, w.covered, out=w.ta)
-        xp.copyto(w.unserved, 0.0)
-        xp.logical_or(w.covers_ds, w.served_whole, out=w.m1)
-        xp.logical_not(w.m1, out=w.m1)
-        xp.copyto(w.unserved, w.ta, where=w.m1)
-
-        # Battery settlement (in place; see VecBattery.settle_into).
-        charge = battery.settle_into(w.charge_request,
-                                     w.discharge_request,
-                                     w.accepted, w.tb)
+        charge = battery.settle(w.charge_request, w.discharge_request,
+                                w.accepted, w.tb)
         discharge = w.discharge_request
-        xp.subtract(w.surplus, charge, out=w.ta)
-        xp.copyto(w.waste, 0.0)
-        xp.copyto(w.waste, w.ta, where=w.surplus_branch)
+        np.subtract(w.surplus, charge, out=w.ta)
+        np.copyto(w.waste, 0.0)
+        np.copyto(w.waste, w.ta, where=w.surplus_branch)
 
-        cost_battery = cycles.record_into(charge, discharge,
-                                          w.cost_battery, w.m1, w.m2)
-        backlog.step_into(w.sdt, ddt, w.ta)
+        cost_battery = cycles.record(charge, discharge,
+                                     w.cost_battery, w.m1, w.m2)
+        backlog.step(w.sdt, ddt, w.ta)
 
-        xp.multiply(rate, plt, out=w.cost_lt)
-        xp.multiply(w.waste, self._waste_penalty, out=w.cost_waste)
-        xp.add(w.cost_lt, cost_rt, out=w.cost_total)
-        xp.add(w.cost_total, cost_battery, out=w.cost_total)
-        xp.add(w.cost_total, w.cost_waste, out=w.cost_total)
-        xp.subtract(dds, w.unserved, out=w.served_ds)
+        np.multiply(rate, plt, out=w.cost_lt)
+        np.multiply(w.waste, self._waste_penalty, out=w.cost_waste)
+        np.add(w.cost_lt, cost_rt, out=w.cost_total)
+        np.add(w.cost_total, cost_battery, out=w.cost_total)
+        np.add(w.cost_total, w.cost_waste, out=w.cost_total)
+        np.subtract(dds, w.unserved, out=w.served_ds)
         recorder.record(
             cost_lt=w.cost_lt,
             cost_rt=cost_rt,
@@ -852,19 +760,15 @@ class BatchSimulator:
 
 
 def _default_controller(runs: Sequence[RunSpec],
-                        workspace: bool | None = None,
                         telemetry=None) -> BatchController:
     """Pick the vectorized controller when every run is SmartDPSS.
 
-    ``workspace`` forwards the engine's slot-workspace knob so one
-    flag governs the whole hot path (physics *and* controller);
     ``telemetry`` hands the engine's collector to the vectorized
     controller so its P4/P5 solves land in the same breakdown.
     """
     controllers = _distinct_controllers(runs)
     if all(type(c) is SmartDPSS for c in controllers):
-        return VecSmartDPSS(controllers, workspace=workspace,
-                            telemetry=telemetry)
+        return VecSmartDPSS(controllers, telemetry=telemetry)
     return ScalarControllerBatch(controllers)
 
 
@@ -907,7 +811,6 @@ def _run_spec_scalar(spec: RunSpec) -> SimulationResult:
 
 
 def run_group_batch(group_runs: Sequence[RunSpec],
-                    workspace: bool | None = None,
                     telemetry=None) -> list[SimulationResult]:
     """Drive one compatible group through the vectorized engine.
 
@@ -915,17 +818,15 @@ def run_group_batch(group_runs: Sequence[RunSpec],
     legally reuse one instance across runs) and falls back to the
     scalar engine for singleton groups, exactly as the ``"batch"``
     executor does — the process-sharded path reuses this so both
-    executors stay bit-identical.  ``workspace`` forwards to
-    :class:`BatchSimulator` (``None`` = the module default);
-    ``telemetry`` is the shard's collector (``None`` = off).
+    executors stay bit-identical.  ``telemetry`` is the shard's
+    collector (``None`` = off).
     """
     if len(group_runs) == 1:
         return [_run_spec_scalar(group_runs[0])]
     specs = [RunSpec(system=r.system, controller=c, traces=r.traces,
                      observed=r.observed, grid_capacity=r.grid_capacity)
              for r, c in zip(group_runs, _distinct_controllers(group_runs))]
-    return BatchSimulator(specs, workspace=workspace,
-                          telemetry=telemetry).run()
+    return BatchSimulator(specs, telemetry=telemetry).run()
 
 
 def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",

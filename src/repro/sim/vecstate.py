@@ -5,8 +5,11 @@ Each class here is the array-form twin of a scalar physics object —
 :class:`~repro.workload.queue.BacklogQueue`,
 :class:`~repro.battery.lifetime.CycleLedger`, the two market ledgers
 and the :class:`~repro.sim.recorder.Recorder` — holding the state of
-``B`` independent scenarios in ``(B,)`` arrays and advancing all of
-them with single NumPy expressions per slot.
+``B`` independent scenarios in ``(B,)`` arrays.  The per-slot updates
+advance all of them in place with ``out=`` ufunc calls, writing
+results and temporaries into caller-supplied buffers (the engine's
+:class:`~repro.sim.batch.PhysicsWorkspace`), so a fine slot allocates
+nothing.
 
 Exactness contract: every update below performs the *same arithmetic
 in the same order* as its scalar twin (NumPy float64 operations are
@@ -29,7 +32,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.backend import current_xp
 from repro.sim.recorder import SERIES_NAMES
 from repro.workload.queue import DelayStats
 from repro.exceptions import ConfigurationError
@@ -68,88 +70,42 @@ class VecBattery:
         self.eta_d = as_batch_array(eta_d, n, "eta_d")
         self.level = as_batch_array(initial, n, "initial")
 
-    @property
-    def headroom(self) -> np.ndarray:
-        """Absorbable bus energy per scenario (``max_charge_energy``)."""
-        room = np.maximum(0.0, self.b_max - self.level) / self.eta_c
-        return np.minimum(self.b_charge_max, room)
-
-    @property
-    def available(self) -> np.ndarray:
-        """Servable bus energy per scenario (``max_discharge_energy``)."""
-        room = np.maximum(0.0, self.level - self.b_min) / self.eta_d
-        return np.minimum(self.b_discharge_max, room)
-
-    def charge(self, requested: np.ndarray) -> np.ndarray:
-        """Absorb surplus; returns the accepted charge per scenario.
-
-        Scenarios with a zero request keep their level bit-identical to
-        the scalar engine's "battery not touched" path (``min(Bmax,
-        b + ηc·0) = b`` because ``b ≤ Bmax`` is an invariant).
-        """
-        accepted = np.minimum(requested, self.headroom)
-        self.level = np.minimum(self.b_max,
-                                self.level + self.eta_c * accepted)
-        return accepted
-
-    def discharge(self, requested: np.ndarray) -> np.ndarray:
-        """Serve a deficit; returns the delivered energy per scenario."""
-        delivered = np.minimum(requested, self.available)
-        self.level = np.maximum(self.b_min,
-                                self.level - self.eta_d * delivered)
-        return delivered
-
     def settle(self, charge_request: np.ndarray,
-               discharge_request: np.ndarray) -> np.ndarray:
+               discharge_request: np.ndarray, accepted: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
         """One slot of elementwise-disjoint charge and discharge.
 
-        The caller has already clamped ``discharge_request`` to the
-        pre-settlement :attr:`available`, so the discharge needs no
-        re-clamping here; zero requests on either side leave levels
-        bit-identical to the untouched-battery path.  Returns the
-        accepted charge (the discharge equals its request).
+        Mirrors ``UpsBattery.charge`` then ``UpsBattery.discharge``:
+        the charge is clamped to the headroom, the level to
+        ``[Bmin, Bmax]``.  The caller has already clamped
+        ``discharge_request`` to the pre-settlement :meth:`available`,
+        so the discharge needs no re-clamping here; zero requests on
+        either side leave levels bit-identical to the untouched-battery
+        path (``min(Bmax, b + ηc·0) = b`` because ``b ≤ Bmax`` is an
+        invariant).  Writes the accepted charge into ``accepted``
+        (returned) and mutates :attr:`level` in place.
         """
-        accepted = np.minimum(charge_request, self.headroom)
-        self.level = np.minimum(self.b_max,
-                                self.level + self.eta_c * accepted)
-        self.level = np.maximum(self.b_min,
-                                self.level
-                                - self.eta_d * discharge_request)
+        # headroom: min(b_charge_max, max(0, b_max - level) / eta_c)
+        np.subtract(self.b_max, self.level, out=scratch)
+        np.maximum(0.0, scratch, out=scratch)
+        np.divide(scratch, self.eta_c, out=scratch)
+        np.minimum(self.b_charge_max, scratch, out=scratch)
+        np.minimum(charge_request, scratch, out=accepted)
+        np.multiply(self.eta_c, accepted, out=scratch)
+        np.add(self.level, scratch, out=self.level)
+        np.minimum(self.b_max, self.level, out=self.level)
+        np.multiply(self.eta_d, discharge_request, out=scratch)
+        np.subtract(self.level, scratch, out=self.level)
+        np.maximum(self.b_min, self.level, out=self.level)
         return accepted
 
-    def settle_into(self, charge_request: np.ndarray,
-                    discharge_request: np.ndarray,
-                    accepted: np.ndarray,
-                    scratch: np.ndarray) -> np.ndarray:
-        """Workspace twin of :meth:`settle` (no allocations).
-
-        Writes the accepted charge into ``accepted`` (returned) and
-        mutates :attr:`level` in place with the identical elementwise
-        operations, so settled levels are bit-for-bit the allocating
-        path's.
-        """
-        xp = current_xp()
-        # headroom, inlined: min(b_charge_max, max(0, b_max - level)/eta_c)
-        xp.subtract(self.b_max, self.level, out=scratch)
-        xp.maximum(0.0, scratch, out=scratch)
-        xp.divide(scratch, self.eta_c, out=scratch)
-        xp.minimum(self.b_charge_max, scratch, out=scratch)
-        xp.minimum(charge_request, scratch, out=accepted)
-        xp.multiply(self.eta_c, accepted, out=scratch)
-        xp.add(self.level, scratch, out=self.level)
-        xp.minimum(self.b_max, self.level, out=self.level)
-        xp.multiply(self.eta_d, discharge_request, out=scratch)
-        xp.subtract(self.level, scratch, out=self.level)
-        xp.maximum(self.b_min, self.level, out=self.level)
-        return accepted
-
-    def available_into(self, out: np.ndarray) -> np.ndarray:
-        """:attr:`available`, written into ``out`` (no allocations)."""
-        xp = current_xp()
-        xp.subtract(self.level, self.b_min, out=out)
-        xp.maximum(0.0, out, out=out)
-        xp.divide(out, self.eta_d, out=out)
-        xp.minimum(self.b_discharge_max, out, out=out)
+    def available(self, out: np.ndarray) -> np.ndarray:
+        """Servable bus energy per scenario (``max_discharge_energy``),
+        written into ``out``."""
+        np.subtract(self.level, self.b_min, out=out)
+        np.maximum(0.0, out, out=out)
+        np.divide(out, self.eta_d, out=out)
+        np.minimum(self.b_discharge_max, out, out=out)
         return out
 
 
@@ -163,29 +119,19 @@ class VecBacklog:
     def __init__(self, n: int):
         self.backlog = np.zeros(n)
 
-    @property
-    def has_backlog(self) -> np.ndarray:
-        """Indicator ``1{Q(τ) > 0}`` with the scalar tolerance."""
-        return self.backlog > _Q_TOLERANCE
-
-    def step(self, service: np.ndarray, arrivals: np.ndarray) -> None:
-        """Serve then admit, exactly as ``BacklogQueue.step``."""
-        to_serve = np.minimum(service, self.backlog)
-        self.backlog = np.maximum(0.0, self.backlog - to_serve) + arrivals
-
-    def step_into(self, service: np.ndarray, arrivals: np.ndarray,
-                  scratch: np.ndarray) -> None:
-        """Workspace twin of :meth:`step` (mutates in place)."""
-        xp = current_xp()
-        xp.minimum(service, self.backlog, out=scratch)
-        xp.subtract(self.backlog, scratch, out=self.backlog)
-        xp.maximum(0.0, self.backlog, out=self.backlog)
-        xp.add(self.backlog, arrivals, out=self.backlog)
-
-    def has_backlog_into(self, out: np.ndarray) -> np.ndarray:
-        """:attr:`has_backlog`, written into ``out``."""
-        current_xp().greater(self.backlog, _Q_TOLERANCE, out=out)
+    def has_backlog(self, out: np.ndarray) -> np.ndarray:
+        """Indicator ``1{Q(τ) > 0}`` with the scalar tolerance, written
+        into ``out``."""
+        np.greater(self.backlog, _Q_TOLERANCE, out=out)
         return out
+
+    def step(self, service: np.ndarray, arrivals: np.ndarray,
+             scratch: np.ndarray) -> None:
+        """Serve then admit in place, exactly as ``BacklogQueue.step``."""
+        np.minimum(service, self.backlog, out=scratch)
+        np.subtract(self.backlog, scratch, out=self.backlog)
+        np.maximum(0.0, self.backlog, out=self.backlog)
+        np.add(self.backlog, arrivals, out=self.backlog)
 
 
 class VecCycleLedger:
@@ -218,30 +164,21 @@ class VecCycleLedger:
 
     def remaining_into(self, out: np.ndarray) -> np.ndarray:
         """:attr:`remaining`, written into ``out`` (no allocations)."""
-        xp = current_xp()
-        xp.subtract(self.budget, self.operations, out=out)
-        xp.maximum(0.0, out, out=out)
+        np.subtract(self.budget, self.operations, out=out)
+        np.maximum(0.0, out, out=out)
         return out
 
-    def record(self, charge: np.ndarray,
-               discharge: np.ndarray) -> np.ndarray:
-        """Account one slot; returns the per-scenario dollar cost."""
-        active = (charge > 0) | (discharge > 0)
-        self.operations += active
-        return np.where(active, self.op_cost, 0.0)
-
-    def record_into(self, charge: np.ndarray, discharge: np.ndarray,
-                    cost: np.ndarray, mask_a: np.ndarray,
-                    mask_b: np.ndarray) -> np.ndarray:
-        """Workspace twin of :meth:`record` → per-scenario cost in
+    def record(self, charge: np.ndarray, discharge: np.ndarray,
+               cost: np.ndarray, mask_a: np.ndarray,
+               mask_b: np.ndarray) -> np.ndarray:
+        """Account one slot; the per-scenario dollar cost goes into
         ``cost`` (``mask_a`` / ``mask_b`` are boolean scratch)."""
-        xp = current_xp()
-        xp.greater(charge, 0, out=mask_a)
-        xp.greater(discharge, 0, out=mask_b)
-        xp.logical_or(mask_a, mask_b, out=mask_a)
-        xp.add(self.operations, mask_a, out=self.operations)
-        xp.copyto(cost, 0.0)
-        xp.copyto(cost, self.op_cost, where=mask_a)
+        np.greater(charge, 0, out=mask_a)
+        np.greater(discharge, 0, out=mask_b)
+        np.logical_or(mask_a, mask_b, out=mask_a)
+        np.add(self.operations, mask_a, out=self.operations)
+        np.copyto(cost, 0.0)
+        np.copyto(cost, self.op_cost, where=mask_a)
         return cost
 
 
@@ -252,27 +189,18 @@ class VecMarketLedger:
         self.energy = np.zeros(n)
         self.spend = np.zeros(n)
 
-    def record(self, energy: np.ndarray, price: np.ndarray) -> np.ndarray:
-        """Record purchases; returns per-scenario costs."""
-        cost = energy * price
-        positive = energy > 0
-        self.energy += np.where(positive, energy, 0.0)
-        self.spend += np.where(positive, cost, 0.0)
-        return cost
-
-    def record_into(self, energy: np.ndarray, price: np.ndarray,
-                    cost: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Workspace twin of :meth:`record` → cost written to ``cost``.
+    def record(self, energy: np.ndarray, price: np.ndarray,
+               cost: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Record purchases; per-scenario costs go into ``cost``.
 
         Masked in-place accumulation: lanes with non-positive energy
-        keep their running totals untouched, which equals adding the
-        allocating path's zero (the accumulators never hold ``-0.0``).
+        keep their running totals untouched, which equals the scalar
+        ledger skipping them (the accumulators never hold ``-0.0``).
         """
-        xp = current_xp()
-        xp.multiply(energy, price, out=cost)
-        xp.greater(energy, 0, out=mask)
-        xp.add(self.energy, energy, out=self.energy, where=mask)
-        xp.add(self.spend, cost, out=self.spend, where=mask)
+        np.multiply(energy, price, out=cost)
+        np.greater(energy, 0, out=mask)
+        np.add(self.energy, energy, out=self.energy, where=mask)
+        np.add(self.spend, cost, out=self.spend, where=mask)
         return cost
 
 

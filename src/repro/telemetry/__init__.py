@@ -10,7 +10,7 @@ The observability layer of the streamed sweep pipeline, in two parts:
   :class:`TelemetrySnapshot` that crosses process boundaries and
   merges associatively.
 * :mod:`repro.telemetry.manifest` — :class:`RunManifest`, the
-  run-level record (fleet hash, backend, worker count, per-stage
+  run-level record (fleet hash, worker count, per-stage
   wall-time breakdown, scenarios/s, cache stats) appended as a JSONL
   sidecar next to the result store and rendered by
   ``python -m repro.fleet stats``.

@@ -4,8 +4,8 @@ Design constraints (set by the streamed engines this instruments):
 
 * **Explicitly passed, never global.**  A :class:`Telemetry` object is
   handed down the call chain (runner → engine → controller → solver)
-  exactly like the workspace knob — worker processes each own one, and
-  nothing on the hot path reads module state.
+  — worker processes each own one, and nothing on the hot path reads
+  module state.
 * **Near-zero overhead when disabled.**  Every instrumented call site
   either checks one attribute (``tele.enabled``) before touching the
   clock, or calls into :data:`TELEMETRY_OFF` — a process-wide

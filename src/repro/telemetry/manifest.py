@@ -2,8 +2,8 @@
 
 A :class:`RunManifest` is the run-level reduction of per-shard
 :class:`~repro.telemetry.core.TelemetrySnapshot`\\ s plus the run's
-configuration — what a sweep *was* (fleet content hash, backend,
-worker count, engine split) and where its time *went* (per-stage
+configuration — what a sweep *was* (fleet content hash, worker
+count, engine split) and where its time *went* (per-stage
 wall-time breakdown, scenarios/s, cache warm-up).  The fleet runner
 appends it to a ``manifest.jsonl`` sidecar next to the result store's
 ``results.jsonl`` (same append-only, torn-write-tolerant discipline),
@@ -122,8 +122,7 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
                    executed: int, skipped: int, shards: int,
                    engines: Mapping[str, int], workers: int,
                    batch_size: int, chunk_coarse: int,
-                   batch_traces: bool, workspace: bool | None,
-                   offline_gap: bool, elapsed_s: float,
+                   batch_traces: bool, offline_gap: bool, elapsed_s: float,
                    snapshot: TelemetrySnapshot,
                    caches: Mapping | None = None,
                    created_at: str | None = None) -> RunManifest:
@@ -134,8 +133,6 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
     parent-side warm-vs-cold cache statistics (see
     :func:`repro.caches.cache_stats`).
     """
-    from repro.backend import active_backend  # late: keep import light
-
     rate = executed / elapsed_s if elapsed_s > 0 else 0.0
     return RunManifest(
         created_at=created_at if created_at is not None
@@ -153,9 +150,7 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
             "batch_size": int(batch_size),
             "chunk_coarse": int(chunk_coarse),
             "batch_traces": bool(batch_traces),
-            "workspace": workspace,
             "offline_gap": bool(offline_gap),
-            "backend": active_backend().name,
         },
         timing={
             "elapsed_s": float(elapsed_s),
@@ -232,8 +227,7 @@ def render_manifest(manifest: RunManifest) -> str:
         f"{fleet.get('scenarios', '?')} scenarios "
         f"({fleet.get('resumed', 0)} resumed), "
         f"{fleet.get('shards', '?')} shards, "
-        f"workers={config.get('workers', '?')}, "
-        f"backend={config.get('backend', '?')}",
+        f"workers={config.get('workers', '?')}",
         f"  elapsed {timing.get('elapsed_s', 0.0):.2f} s "
         f"({timing.get('scenarios_per_s', 0.0):.0f} scenarios/s), "
         f"batch_size={config.get('batch_size', '?')}, "

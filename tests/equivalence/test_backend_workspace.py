@@ -1,18 +1,17 @@
-"""Three-way equivalence gate for the slot-workspace/backend layer.
+"""Equivalence gate for the in-place slot kernels.
 
-The PR's contract, pinned exactly (``==`` on every float, no
-tolerance):
+The contract, pinned exactly (``==`` on every float, no tolerance):
 
-    scalar engine  ==  pre-workspace batch path  ==  workspace path
+    scalar engine  ==  batch engine (preallocated in-place kernels)
 
 across SmartDPSS configurations (both objective modes, market/battery
 opt-outs, both shift modes), scalar baseline controllers driven
 through :class:`~repro.sim.batch.ScalarControllerBatch`, and the
 streamed engine's chunk boundaries.  A tracemalloc guard then pins the
 workspace property itself: the slot loop's per-slot allocation
-footprint must stay near zero (and far below the allocation path's),
-so a future edit that quietly reintroduces per-slot temporaries fails
-here rather than in a benchmark.
+footprint must stay near zero, so a future edit that quietly
+reintroduces per-slot temporaries fails here rather than in a
+benchmark.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ def _baseline_runs() -> list[RunSpec]:
 
 
 @pytest.mark.parametrize("family", ["derived", "paper", "baselines"])
-def test_three_way_bit_exact(family):
-    """scalar == batch(no workspace) == batch(workspace), exactly."""
+def test_scalar_batch_bit_exact(family):
+    """scalar Simulator == BatchSimulator, exactly."""
     def build():
         if family == "baselines":
             return _baseline_runs()
@@ -96,10 +95,8 @@ def test_three_way_bit_exact(family):
 
     scalar = [Simulator(run.system, run.controller, run.traces).run()
               for run in build()]
-    plain = BatchSimulator(build(), workspace=False).run()
-    fast = BatchSimulator(build(), workspace=True).run()
-    _assert_results_identical(scalar, plain, f"{family}: scalar/plain")
-    _assert_results_identical(plain, fast, f"{family}: plain/workspace")
+    batch = BatchSimulator(build()).run()
+    _assert_results_identical(scalar, batch, f"{family}: scalar/batch")
 
 
 def _streamed_specs() -> list[ScenarioSpec]:
@@ -117,8 +114,7 @@ def _streamed_specs() -> list[ScenarioSpec]:
     return specs
 
 
-def _streamed_metrics(chunk_coarse: int,
-                      workspace: bool) -> list[ScenarioMetrics]:
+def _streamed_metrics(chunk_coarse: int) -> list[ScenarioMetrics]:
     from repro.fleet.engine import StreamRunSpec
 
     runs = []
@@ -128,25 +124,21 @@ def _streamed_metrics(chunk_coarse: int,
             system=system,
             controller=spec.build_controller(),
             stream=spec.open_stream(system)))
-    return StreamingBatchSimulator(
-        runs, chunk_coarse=chunk_coarse, workspace=workspace).run()
+    return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run()
 
 
 @pytest.mark.fleet
 @pytest.mark.parametrize("chunk_coarse", [1, 3, 8])
 def test_streamed_workspace_bit_exact_across_chunkings(chunk_coarse):
-    """Workspace on == off through every streamed chunk boundary.
+    """Every chunking equals the single full-window run, exactly.
 
-    The reference is the single-full-window run of the allocation
-    path, so every chunk size must agree with it *and* with its own
-    workspace twin — metrics records compare exactly (dataclass
-    ``==`` over floats).
+    The reference streams the whole horizon as one window
+    (``chunk_coarse=8`` covers all 8 coarse slots), so every chunk
+    boundary the smaller sizes introduce must leave the metrics records
+    unchanged (dataclass ``==`` over floats).
     """
-    reference = _streamed_metrics(chunk_coarse=8, workspace=False)
-    plain = _streamed_metrics(chunk_coarse, workspace=False)
-    fast = _streamed_metrics(chunk_coarse, workspace=True)
-    assert plain == reference
-    assert fast == reference
+    reference = _streamed_metrics(chunk_coarse=8)
+    assert _streamed_metrics(chunk_coarse) == reference
 
 
 # ----------------------------------------------------------------------
@@ -154,14 +146,14 @@ def test_streamed_workspace_bit_exact_across_chunkings(chunk_coarse):
 # ----------------------------------------------------------------------
 
 
-def _slot_loop_footprint(workspace: bool) -> tuple[int, int, int]:
+def _slot_loop_footprint() -> tuple[int, int, int]:
     """(slots, peak traced bytes, surviving allocations) of the loop.
 
     The simulator, controller and workspaces are built *before*
     tracing starts, and the measured window covers only pure fine
-    slots (the coarse-boundary planning pass — which legitimately
-    allocates on both paths — is warmed through first), so the figures
-    isolate what the per-slot hot path itself allocates.
+    slots (the coarse-boundary planning pass, which legitimately
+    allocates, is warmed through first), so the figures isolate what
+    the per-slot hot path itself allocates.
     """
     system = paper_system_config(days=3)
     configs = [paper_controller_config(v=float(v))
@@ -169,13 +161,7 @@ def _slot_loop_footprint(workspace: bool) -> tuple[int, int, int]:
     runs = [RunSpec(system=system, controller=SmartDPSS(config),
                     traces=make_paper_traces(system, seed=seed))
             for seed, config in enumerate(configs)]
-    from repro.core.smartdpss_vec import VecSmartDPSS
-
-    simulator = BatchSimulator(
-        runs,
-        controller=VecSmartDPSS([run.controller for run in runs],
-                                workspace=workspace),
-        workspace=workspace)
+    simulator = BatchSimulator(runs)
     state = simulator._begin_run()
     t_slots = simulator._t_slots
     # Warm through the second coarse boundary so the measured window
@@ -205,16 +191,13 @@ def _slot_loop_footprint(workspace: bool) -> tuple[int, int, int]:
 
 @pytest.mark.slow
 def test_workspace_slot_loop_allocation_guard():
-    """The workspace slot loop allocates ~nothing per slot.
+    """The slot loop allocates ~nothing per slot.
 
-    Two pins: the workspace path's peak transient footprint must be a
-    small fraction of the allocation path's, and its surviving
-    allocations (a leak signal) must stay near zero per slot.
+    Two pins: the peak transient footprint stays under a fixed small
+    bound, and surviving allocations (a leak signal) stay near zero
+    per slot.  The loop's transients are dataclass shells and views;
+    a kernel that materialized ``(17, B)`` tensors would break both.
     """
-    _, plain_peak, _ = _slot_loop_footprint(workspace=False)
-    slots, ws_peak, ws_survivors = _slot_loop_footprint(workspace=True)
-    # The allocation path materializes (17, B) tensors per slot; the
-    # workspace path's transients are dataclass shells and views.
-    assert ws_peak < plain_peak / 4, (ws_peak, plain_peak)
-    assert ws_peak < 64 * 1024, ws_peak
-    assert ws_survivors <= 8 * slots, ws_survivors
+    slots, peak, survivors = _slot_loop_footprint()
+    assert peak < 64 * 1024, peak
+    assert survivors <= 8 * slots, survivors

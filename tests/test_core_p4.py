@@ -205,3 +205,13 @@ class TestP4Batch:
             rates = solve_p4_many(P4Batch.from_states(states), mode)
             assert rates.tolist() == [solve_p4(state, mode).rate
                                       for state in states]
+
+
+def test_step_cache_bounded():
+    from repro.core import p4
+
+    p4._STEP_CACHE.clear()
+    for n in range(1, 4 * p4._STEP_CACHE_MAX):
+        p4._steps(n)
+    assert len(p4._STEP_CACHE) <= p4._STEP_CACHE_MAX
+    assert np.array_equal(p4._steps(3), np.arange(3.0))

@@ -127,3 +127,19 @@ class TestPolicyBehaviour:
                            price_rt=1.0, grt_cap=2.0, s_dt_max=2.0)
         solution = solve_p5(state, ObjectiveMode.DERIVED)
         assert solution.physics.sdt <= 2.0 + 1e-12
+
+
+def test_p5_workspace_rejects_wrong_batch():
+    from repro.core.p5_vec import BatchSlotState, P5Workspace, solve_p5_batch
+    from repro.exceptions import ConfigurationError
+
+    n = 3
+    fields = {name: np.zeros(n) for name in (
+        "q_hat", "y_hat", "x_hat", "v", "price_rt", "battery_op_cost",
+        "waste_penalty", "backlog", "gbef_rate", "renewable",
+        "demand_ds", "charge_cap", "discharge_cap", "eta_c", "eta_d",
+        "s_dt_max", "grt_cap", "battery_margin")}
+    state = BatchSlotState(**fields)
+    with pytest.raises(ConfigurationError, match="workspace sized"):
+        solve_p5_batch(state, ObjectiveMode.DERIVED,
+                       work=P5Workspace(batch=4, n_candidates=17))

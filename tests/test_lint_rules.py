@@ -95,68 +95,6 @@ class TestR001RngDiscipline:
 
 
 # ----------------------------------------------------------------------
-# R002 backend-purity
-# ----------------------------------------------------------------------
-
-class TestR002BackendPurity:
-    RULES = (RULES_BY_ID["R002"],)
-
-    MARKED = """
-        # replint: backend-generic
-        import numpy as np
-        from repro.backend import current_xp
-
-        def kernel(values):
-            xp = current_xp()
-            {body}
-    """
-
-    def test_direct_np_call_fires_in_marked_module(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            self.MARKED.format(body="return np.where(values > 0, 1, 0)"),
-            rules=self.RULES)
-        assert rule_ids(report) == ["R002"]
-        assert "np.where" in report.findings[0].message
-
-    def test_known_kernel_module_is_in_scope_without_marker(
-            self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import numpy as np
-
-            def kernel(values):
-                return np.minimum(values, 0.0)
-        """, relpath="repro/core/p5_vec.py", rules=self.RULES)
-        assert rule_ids(report) == ["R002"]
-
-    def test_xp_compute_and_np_constants_are_clean(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            self.MARKED.format(
-                body="return xp.where(values > np.inf, np.float64(0), "
-                     "values)"),
-            rules=self.RULES)
-        assert report.clean
-
-    def test_annotations_are_clean(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            # replint: backend-generic
-            import numpy as np
-
-            def kernel(values: np.ndarray) -> np.ndarray:
-                return values
-        """, rules=self.RULES)
-        assert report.clean
-
-    def test_unmarked_module_is_out_of_scope(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            import numpy as np
-            x = np.zeros(4)
-        """, rules=self.RULES)
-        assert report.clean
-
-
-# ----------------------------------------------------------------------
 # R003 exception-taxonomy
 # ----------------------------------------------------------------------
 

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.rng import DEFAULT_SEED, RngFactory, make_rng, substream_seed
+from repro.exceptions import ConfigurationError
+from repro.rng import (
+    DEFAULT_SEED,
+    RngFactory,
+    batch_seed_states,
+    make_rng,
+    substream_rngs_batch,
+    substream_seed,
+)
 
 
 class TestSubstreamSeed:
@@ -55,3 +63,38 @@ class TestRngFactory:
 
     def test_repr_mentions_seed(self):
         assert "9" in repr(RngFactory(9))
+
+
+def test_batch_seed_states_matches_numpy_seedsequence():
+    rng = np.random.default_rng(11)
+    seeds = [0, 1, 2, 0xffffffff, 0x100000000, 2**63 - 1, 2**64 - 1]
+    seeds += [int(s) for s in rng.integers(0, 2**63, 64,
+                                           dtype=np.uint64)]
+    states = batch_seed_states(np.array(seeds, dtype=np.uint64))
+    for row, seed in zip(states, seeds):
+        reference = np.random.SeedSequence(seed).generate_state(
+            4, np.uint64)
+        assert np.array_equal(row, reference), seed
+
+
+def test_substream_rngs_batch_streams_identical_to_make_rng():
+    roots = [0, 3, 20130708, 2**62 + 17]
+    names = ["stream:demand_ds", "stream:price_rt:spikes"]
+    batched = substream_rngs_batch(roots, names)
+    for index, root in enumerate(roots):
+        for name in names:
+            reference = make_rng(root, name)
+            candidate = batched[name][index]
+            assert np.array_equal(reference.standard_normal(32),
+                                  candidate.standard_normal(32))
+            assert np.array_equal(reference.poisson(2.5, 8),
+                                  candidate.poisson(2.5, 8))
+
+
+def test_substream_rngs_batch_empty():
+    assert substream_rngs_batch([], ["a"]) == {"a": []}
+
+
+def test_batch_seed_states_validates_shape():
+    with pytest.raises(ConfigurationError, match="1-D"):
+        batch_seed_states(np.zeros((2, 2), dtype=np.uint64))

@@ -170,7 +170,9 @@ class TestVecState:
 
     def test_cycle_ledger_budget_exhaustion(self):
         cycles = VecCycleLedger(op_cost=0.1, budgets=[1, None], n=2)
-        cost = cycles.record(np.array([0.5, 0.5]), np.zeros(2))
+        cost = cycles.record(np.array([0.5, 0.5]), np.zeros(2),
+                             np.empty(2), np.empty(2, dtype=bool),
+                             np.empty(2, dtype=bool))
         assert cost.tolist() == [0.1, 0.1]
         assert cycles.exhausted.tolist() == [True, False]
         assert cycles.remaining_scalar(0) == 0
@@ -219,3 +221,20 @@ class TestBatchCoarseObservation:
         with pytest.raises(HorizonMismatchError, match="planning tail"):
             simulator._coarse_observations(2, 2 * t_slots, state.battery,
                                            state.backlog, state.cycles)
+
+
+def test_workspace_buffers_shapes():
+    from repro.core.p5_vec import P5Workspace
+    from repro.core.smartdpss_vec import RealTimeWorkspace
+    from repro.sim.batch import PhysicsWorkspace
+
+    p5 = P5Workspace(batch=5, n_candidates=17)
+    assert p5.grt.shape == (17, 5)
+    assert p5.valid.dtype == bool
+    assert bool(p5.valid[0].all()) and bool(p5.valid[16].all())
+    assert float(abs(p5.grt[0]).sum()) == 0.0
+    rt = RealTimeWorkspace(batch=5)
+    assert rt.price_n.shape == (5,)
+    phys = PhysicsWorkspace(batch=5)
+    assert phys.rate.shape == (5,)
+    assert phys.m1.dtype == bool

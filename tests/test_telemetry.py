@@ -153,7 +153,7 @@ class TestManifest:
             spec_hashes=["aa", "bb"], scenarios=2, executed=2,
             skipped=0, shards=1, engines={"stream": 1}, workers=1,
             batch_size=4, chunk_coarse=4, batch_traces=True,
-            workspace=None, offline_gap=False, elapsed_s=2.0,
+            offline_gap=False, elapsed_s=2.0,
             snapshot=snapshot or TelemetrySnapshot(),
         )
         kwargs.update(overrides)
@@ -169,7 +169,9 @@ class TestManifest:
         assert manifest.timing["scenarios_per_s"] == 2.0
         assert manifest.fleet["fleet_hash"] == \
             fleet_content_hash(["aa", "bb"])
-        assert manifest.config["backend"]
+        assert "backend" not in manifest.config
+        assert "workspace" not in manifest.config
+        assert "backend=" not in manifest.render()
         assert manifest.version == 1
 
     def test_dict_round_trip(self):
@@ -239,6 +241,33 @@ class TestStoreManifests:
             handle.write('{"torn": tr')  # crashed writer, no newline
         store.append_manifest({"run": 2})
         assert [m.get("run") for m in store.manifests()] == [1, 2]
+
+    def test_manifest_with_retired_config_keys_still_renders(
+            self, tmp_path, capsys):
+        """Stores written when the manifest config still carried the
+        ``workspace`` and ``backend`` keys keep loading and rendering."""
+        from repro.fleet.__main__ import main
+
+        store = ResultStore(tmp_path / "s")
+        store.append_manifest({
+            "version": 1,
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "fleet": {"scenarios": 4, "executed": 4, "resumed": 0,
+                      "shards": 1, "fleet_hash": "abc",
+                      "engines": {"stream": 1}},
+            "config": {"workers": 1, "batch_size": 4, "chunk_coarse": 4,
+                       "batch_traces": True, "workspace": None,
+                       "offline_gap": False, "backend": "numpy"},
+            "timing": {"elapsed_s": 2.0, "scenarios_per_s": 2.0},
+            "stages": {"slot_loop": {"total_s": 1.0, "count": 2,
+                                     "max_s": 0.75}},
+        })
+        manifest = RunManifest.from_dict(store.manifests()[0])
+        assert manifest.config["backend"] == "numpy"
+        assert "slot_loop" in manifest.render()
+        assert main(["stats", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert "4 scenarios" in out and "slot_loop" in out
 
 
 class TestRunProgress:
