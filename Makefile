@@ -87,9 +87,8 @@ bench-batch:
 bench-fleet:
 	$(PY) benchmarks/bench_fleet.py
 
-# Trace kernels: scalar loops vs vectorized batch kernels, per
-# component and end-to-end on the streamed sweep; writes
-# BENCH_traces.json.
+# Trace kernels: scalar loops vs vectorized batch kernels, in total
+# and per component; writes BENCH_traces.json.
 bench-traces:
 	$(PY) benchmarks/bench_traces.py
 

@@ -1,25 +1,15 @@
 """Trace-kernel benchmark: scalar loops vs vectorized batch kernels.
 
-Two measurements, written to ``BENCH_traces.json`` at the repo root
-(see benchmarks/README.md for how to read it):
-
-1. **Chunked trace generation** — wall-clock to stream a ``B``-scenario
-   batch over a 30-day horizon in fleet-sized windows, through the
-   per-scenario scalar cursors (``StreamingPaperTraces.open``, the
-   reference path) and through one ``BatchTraceStream`` cursor (the
-   vectorized kernels).  Also timed per component (demand AR(1),
-   compound-Poisson arrivals, solar Markov+AR(1), real-time prices,
-   forward curve).  Acceptance: the batch path is **≥ 5×** the scalar
-   path at ``B ≥ 64``.
-
-2. **End-to-end streamed sweep** — the 10⁴-scenario demo fleet
-   (``python -m repro.fleet run --demo v-sweep``) through
-   ``FleetRunner`` with ``batch_traces=False`` (the PR-2 baseline
-   configuration: identical math, per-scenario trace loops) and with
-   the default kernel-backed loading.  Acceptance: **≥ 2×** end-to-end,
-   with identical records (the bit-identity spot check runs on a
-   subset; the full guarantee is ``tests/property/test_trace_kernels``
-   plus the equivalence harness).
+Writes ``BENCH_traces.json`` at the repo root (see
+benchmarks/README.md for how to read it): the wall-clock to stream a
+``B``-scenario batch over a 30-day horizon in fleet-sized windows,
+through the per-scenario scalar cursors (``StreamingPaperTraces.open``,
+the reference path) and through one ``BatchTraceStream`` cursor (the
+vectorized kernels), also timed per component (demand AR(1),
+compound-Poisson arrivals, solar Markov+AR(1), real-time prices,
+forward curve).  Acceptance: the batch path is **≥ 5×** the scalar
+path at ``B ≥ 64``.  End-to-end fleet throughput is measured by
+``fleetbench`` (``make bench``).
 
 Run::
 
@@ -43,8 +33,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config.presets import paper_system_config  # noqa: E402
-from repro.fleet.__main__ import build_demo_fleet  # noqa: E402
-from repro.fleet.runner import FleetRunner  # noqa: E402
 from repro.fleet.stream import (  # noqa: E402
     BatchTraceStream,
     StreamingPaperTraces,
@@ -70,9 +58,6 @@ OUTPUT = REPO_ROOT / "BENCH_traces.json"
 
 #: Minimum acceptable batch/scalar speedup on chunked generation.
 TRACE_TARGET = 5.0
-
-#: Minimum acceptable end-to-end speedup on the streamed sweep.
-FLEET_TARGET = 2.0
 
 
 def _chunks(n_slots: int, chunk_slots: int):
@@ -235,56 +220,6 @@ def measure_components(batch: int, days: int,
     return rows
 
 
-def measure_end_to_end(n_scenarios: int, batch_size: int,
-                       repeats: int = 2) -> dict:
-    """The demo streamed sweep, scalar trace path vs kernel path.
-
-    Runs the two paths interleaved, ``repeats`` times each, and scores
-    the best wall-clock per path — single-core containers share cores
-    with neighbours, and best-of-N is the standard way to read through
-    that noise.
-    """
-    specs = build_demo_fleet("v-sweep", n_scenarios, days=1, t_slots=6,
-                             sample_seed=0)
-    timings = {"scalar": [], "kernel": []}
-    for _ in range(repeats):
-        for batch_traces in (False, True):
-            runner = FleetRunner(specs, batch_size=batch_size,
-                                 batch_traces=batch_traces)
-            t0 = time.perf_counter()
-            records = runner.run()
-            elapsed = time.perf_counter() - t0
-            assert len(records) == n_scenarios
-            label = "kernel" if batch_traces else "scalar"
-            timings[label].append(elapsed)
-            print(f"  end-to-end {label:6s} traces: {elapsed:6.2f}s "
-                  f"({n_scenarios / elapsed:.0f} scenarios/s)")
-    timings = {label: min(times) for label, times in timings.items()}
-
-    # Bit-identity spot check on a subset (the full guarantee is the
-    # property suite + equivalence harness; this catches wiring rot).
-    subset = specs[:2 * batch_size]
-    same = (FleetRunner(subset, batch_size=batch_size).run()
-            == FleetRunner(subset, batch_size=batch_size,
-                           batch_traces=False).run())
-
-    speedup = timings["scalar"] / timings["kernel"]
-    return {
-        "n_scenarios": n_scenarios,
-        "batch_size": batch_size,
-        "repeats_best_of": repeats,
-        "scalar_path_s": round(timings["scalar"], 3),
-        "kernel_path_s": round(timings["kernel"], 3),
-        "scalar_scenarios_per_s": round(
-            n_scenarios / timings["scalar"], 1),
-        "kernel_scenarios_per_s": round(
-            n_scenarios / timings["kernel"], 1),
-        "speedup": round(speedup, 2),
-        "records_identical": bool(same),
-        "ok": speedup >= FLEET_TARGET and bool(same),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -296,29 +231,21 @@ def main(argv: list[str] | None = None) -> int:
                                         chunk_slots=24)
         components = measure_components(batch=16, days=4,
                                         chunk_slots=24)
-        end_to_end = measure_end_to_end(n_scenarios=400, batch_size=64,
-                                        repeats=1)
     else:
         generation = measure_generation(batch=64, days=30,
                                         chunk_slots=96)
         components = measure_components(batch=64, days=30,
                                         chunk_slots=96)
-        end_to_end = measure_end_to_end(n_scenarios=10_000,
-                                        batch_size=64, repeats=3)
 
-    target_met = bool(generation["ok"] and end_to_end["ok"])
+    target_met = bool(generation["ok"])
     payload = {
         "workload": ("chunked stream-family generation (B scenarios, "
-                     "30-day horizon, fleet-sized windows) and the "
-                     "10^4-scenario streamed v-sweep demo"),
+                     "30-day horizon, fleet-sized windows)"),
         "target": (f"batch kernels >= {TRACE_TARGET:.0f}x the scalar "
-                   f"cursors on chunked generation (B >= 64); "
-                   f">= {FLEET_TARGET:.0f}x end-to-end on the streamed "
-                   f"sweep, records identical"),
+                   f"cursors on chunked generation (B >= 64)"),
         "target_met": target_met,
         "trace_generation": generation,
         "components": components,
-        "end_to_end": end_to_end,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

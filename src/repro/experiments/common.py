@@ -24,17 +24,10 @@ from repro.traces.base import TraceSet
 from repro.traces.library import make_paper_traces
 
 #: Environment variable overriding the experiments' executor choice
-#: (``serial`` | ``batch`` | ``process``).  Experiments default to the
-#: vectorized batch engine; ``process`` additionally shards whole
-#: vectorized batch groups across worker processes (the fleet
-#: subsystem's :func:`~repro.fleet.runner.simulate_many_process`).
-#: All three produce bit-identical results (enforced by
+#: (``serial`` | ``batch``).  Experiments default to the vectorized
+#: batch engine; both produce bit-identical results (enforced by
 #: tests/equivalence/).
 EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment variable capping the ``process`` executor's pool size
-#: (defaults to the visible CPU count).
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 
 def default_executor() -> str:
@@ -42,27 +35,19 @@ def default_executor() -> str:
     return os.environ.get(EXECUTOR_ENV, "batch")
 
 
-def default_max_workers() -> int | None:
-    """Process-pool cap for the experiments (env-overridable)."""
-    value = os.environ.get(MAX_WORKERS_ENV)
-    return int(value) if value else None
-
-
 def simulate_runs(runs: Sequence[RunSpec],
-                  executor: str | None = None,
-                  max_workers: int | None = None
+                  executor: str | None = None
                   ) -> list[SimulationResult]:
     """Run a figure's whole fleet of simulations, in input order.
 
     The single seam every ``fig*`` module funnels its runs through:
     one call hands the complete (value × seed) fleet to
     :func:`repro.sim.batch.simulate_many`, which advances compatible
-    runs in vectorized lockstep (serially, or sharded across a
-    process pool, per ``executor``).
+    runs in vectorized lockstep (or one at a time on the scalar
+    engine, per ``executor``).
     """
-    return simulate_many(runs, executor=executor or default_executor(),
-                         max_workers=max_workers
-                         or default_max_workers())
+    return simulate_many(runs, executor=executor or default_executor())
+
 
 #: V values of the paper's Fig. 6(a,b) sweep.
 PAPER_V_SWEEP = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)

@@ -62,9 +62,8 @@ def run_fig6_t(seed: int = DEFAULT_SEED,
 
     Each ``T`` changes the two-timescale shape, so the runs cannot
     share one vectorized batch and the default executor falls back to
-    scalar runs; setting ``REPRO_EXECUTOR=process`` shards the
-    per-``T`` groups across cores instead (seed-replicated sweeps
-    additionally keep each group vectorized inside its worker).
+    scalar runs (seed-replicated sweeps keep each ``T`` group
+    vectorized).
     """
     specs = [spec_smartdpss(
         build_scenario(seed=seed, days=days,

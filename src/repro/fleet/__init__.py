@@ -13,8 +13,7 @@ sweeps.  This package supplies the missing layers:
 * :mod:`repro.fleet.engine` — the chunk-at-a-time
   :class:`StreamingBatchSimulator` with O(B) result aggregation;
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` sharding whole
-  vectorized batches across worker processes (also the engine behind
-  ``simulate_many(..., executor="process")``);
+  vectorized batches across worker processes;
 * :mod:`repro.fleet.store` — append-only :class:`ResultStore` with
   seed-replicated aggregation back into
   :class:`~repro.sim.sweep.SweepTable`;
@@ -120,7 +119,6 @@ from repro.fleet.engine import (
     ScenarioMetrics,
     StreamingBatchSimulator,
     StreamRunSpec,
-    simulate_stream,
 )
 from repro.fleet.faults import Fault, FaultPlan
 from repro.fleet.observe import (
@@ -136,11 +134,7 @@ from repro.fleet.observe import (
     UniformNoise,
     observation_from_mapping,
 )
-from repro.fleet.runner import (
-    FleetRunner,
-    ShardOutcome,
-    simulate_many_process,
-)
+from repro.fleet.runner import FleetRunner, ShardOutcome
 from repro.fleet.spec import (
     ScenarioSpec,
     grid_specs,
@@ -183,6 +177,4 @@ __all__ = [
     "observation_from_mapping",
     "product_specs",
     "sample_specs",
-    "simulate_many_process",
-    "simulate_stream",
 ]

@@ -30,10 +30,11 @@ arrives without the tail (a silent negative-index wrap would read the
 wrong profile otherwise).
 
 Trace chunks load through one of two bit-identical paths: a
-:class:`~repro.fleet.stream.BatchTraceStream` cursor (default when all
-sources are kernel-backed — one vectorized kernel pass per window for
-the whole batch) or ``B`` per-scenario scalar cursors (the reference
-path, forced with ``batch_traces=False``).
+:class:`~repro.fleet.stream.BatchTraceStream` cursor when all sources
+are kernel-backed (one vectorized kernel pass per window for the whole
+batch), or ``B`` per-scenario cursors otherwise (resident
+:class:`~repro.fleet.stream.ArrayTraceStream` sources, e.g. the
+materialized shards of oracle controllers and ``paper`` recipes).
 """
 
 from __future__ import annotations
@@ -358,15 +359,13 @@ class StreamingBatchSimulator(BatchSimulator):
     (:class:`~repro.fleet.stream.StreamingPaperTraces`), chunks load
     through one :class:`~repro.fleet.stream.BatchTraceStream` cursor —
     a single vectorized kernel pass per window for the whole batch,
-    bit-identical to the per-scenario cursors.  ``batch_traces=False``
-    forces the per-scenario scalar path (the reference the harness and
-    the trace benchmark compare against).
+    bit-identical to the per-scenario cursors every other source reads
+    through.
     """
 
     def __init__(self, runs: Sequence[StreamRunSpec],
                  controller: BatchController | None = None,
-                 *, chunk_coarse: int = 4, batch_traces: bool = True,
-                 telemetry=None, faults=None):
+                 *, chunk_coarse: int = 4, telemetry=None, faults=None):
         self._init_group(runs, controller, telemetry=telemetry)
         if chunk_coarse < 1:
             raise ConfigurationError(
@@ -407,7 +406,7 @@ class StreamingBatchSimulator(BatchSimulator):
         self._seeds: list[int | None] = [
             getattr(run.stream, "seed", None) for run in self.runs]
         self._batch_source = BatchTraceStream.for_streams(
-            [run.stream for run in self.runs]) if batch_traces else None
+            [run.stream for run in self.runs])
 
     def _make_recorder(self) -> StreamingAggregator:
         return StreamingAggregator(self._batch)
@@ -439,12 +438,6 @@ class StreamingBatchSimulator(BatchSimulator):
         if tail is not None:
             columns = {name: np.concatenate([tail[name], block], axis=1)
                        for name, block in columns.items()}
-        # Trace columns stay host-side: generation is NumPy by the
-        # seed contract, and the aggregation/capacity/tail paths below
-        # are host arrays too.  This chunk install is the designated
-        # host->device transfer point for a future device-resident
-        # slot loop (ArrayBackend.asarray on the columns plus a
-        # device-side aggregator) — open ROADMAP item, needs hardware.
         self._true_dds = columns["demand_ds"]
         self._true_ddt = columns["demand_dt"]
         self._true_ren = columns["renewable"]
@@ -814,11 +807,3 @@ class StreamingBatchSimulator(BatchSimulator):
             ))
         return metrics
 
-
-def simulate_stream(runs: Sequence[StreamRunSpec],
-                    chunk_coarse: int = 4,
-                    batch_traces: bool = True
-                    ) -> list[ScenarioMetrics]:
-    """Convenience wrapper mirroring :func:`repro.sim.batch.simulate_many`."""
-    return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse,
-                                   batch_traces=batch_traces).run()

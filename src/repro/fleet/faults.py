@@ -10,16 +10,14 @@ pipeline —
 ======================  ================================================
 site                    where it fires
 ======================  ================================================
-``traces``              chunk loading in the streamed engine (or trace
-                        materialization on the in-memory shard path)
+``traces``              chunk loading in the streamed engine
 ``observe``             the observation layer deriving what controllers
                         see from each loaded chunk (``nan`` poisons the
                         *observed* view only, so the engine's scan must
                         raise the typed observation error while physics
                         stays on clean truth)
 ``plan``                the coarse-boundary planning step of the slot
-                        loop (streamed engine), or just before the
-                        in-memory engine runs
+                        loop
 ``slot_loop``           every fine slot of the streamed slot loop
 ``lp_solve``            the offline-gap LP solve for a shard
 ``store_append``        parent-side, as a finished shard's records are

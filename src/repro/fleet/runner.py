@@ -1,33 +1,23 @@
 """Sharded fleet execution: whole vectorized batches per worker.
 
-Two entry points live here:
-
-* :class:`FleetRunner` — the fleet front door.  Takes declarative
-  :class:`~repro.fleet.spec.ScenarioSpec` fleets, groups
-  batch-compatible specs, splits every group into shards of at most
-  ``batch_size`` scenarios, and runs each shard through one engine
-  invocation — the memory-bounded
-  :class:`~repro.fleet.engine.StreamingBatchSimulator` where the spec
-  allows it, the in-memory :class:`~repro.sim.batch.BatchSimulator`
-  otherwise.  With ``max_workers > 1`` shards ship to a process pool
-  (each worker rebuilds traces locally from the few-hundred-byte spec,
-  so no trace arrays cross the process boundary) and finished shards
-  stream back incrementally into the optional
-  :class:`~repro.fleet.store.ResultStore`.
-
-* :func:`simulate_many_process` — the engine behind
-  ``simulate_many(..., executor="process")``.  It shards *in-memory*
-  :class:`~repro.sim.batch.RunSpec` groups across workers, so the
-  legacy entry point multiplies process fan-out with vectorization
-  instead of silently degrading to per-run scalar simulation.  Results
-  are bit-identical to ``executor="batch"``.
+:class:`FleetRunner` is the fleet front door.  It takes declarative
+:class:`~repro.fleet.spec.ScenarioSpec` fleets, groups batch-compatible
+specs, splits every group into shards of at most ``batch_size``
+scenarios, and runs each shard through one
+:class:`~repro.fleet.engine.StreamingBatchSimulator` invocation.
+Shards whose controllers need whole horizons (the ``lookahead`` /
+``offline`` oracles) or whose traces are not kernel-backed (``paper``
+recipes) materialize their traces first and stream over row views of
+that block; every other shard streams its traces chunk by chunk.  With
+``max_workers > 1`` shards ship to a process pool (each worker
+rebuilds traces locally from the few-hundred-byte spec, so no trace
+arrays cross the process boundary) and finished shards stream back
+incrementally into the optional :class:`~repro.fleet.store.ResultStore`.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -57,8 +47,6 @@ from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import observation_from_mapping
 from repro.fleet.spec import ScenarioSpec
 from repro.fleet.stream import ArrayTraceStream, materialize_block
-from repro.sim.batch import RunSpec, run_group_batch
-from repro.sim.results import SimulationResult
 from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -76,13 +64,6 @@ DEFAULT_BATCH_SIZE = 256
 
 #: Default coarse slots of trace data resident per scenario.
 DEFAULT_CHUNK_COARSE = 4
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _split_shards(indices: Sequence[int], shard_size: int) -> list[list[int]]:
@@ -260,12 +241,11 @@ def _attach_offline_gap(systems: "list", block: TraceBlock,
     return out
 
 
-def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
-                       runs: "list", traces_list: "list[TraceSet]",
+def _attach_robustness(specs: "list[ScenarioSpec]", runs: "list",
+                       traces_list: "list[TraceSet | None]",
                        metrics: "list[ScenarioMetrics]", *,
                        robustness: Mapping[str, object],
-                       chunk_coarse: int, batch_traces: bool,
-                       streamable: bool,
+                       chunk_coarse: int,
                        telemetry=None) -> "list[ScenarioMetrics]":
     """Add the paired-noisy columns to one shard's metrics.
 
@@ -275,42 +255,26 @@ def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
     clean cost — the fleet-scale twin of the paper's Fig. 9
     clean-vs-noisy comparison, with the same record discipline as the
     offline-gap column.  The noisy replay reuses the shard's trace
-    streams (replayable by contract) on the streamed path, or the
-    already-materialized horizons on the in-memory path, so the column
-    costs one extra engine pass and zero extra trace generation with
-    ``offline_gap`` on.  Like the offline replay, the noisy pass runs
+    streams (replayable by contract), and oracle controllers are
+    rebuilt from the shard's materialized ``traces_list``, so the
+    column costs one extra engine pass and zero extra trace
+    generation.  Like the offline replay, the noisy pass runs
     uninjected (no fault harness): it is a derived comparison column,
     not a second chance for chaos faults to fire.
     """
     tele = telemetry
     t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    observations = [
-        observation_from_mapping(robustness, default_seed=spec.seed,
-                                 price_cap=system.p_max)
-        for spec, system in zip(specs, systems)]
-    if streamable:
-        noisy_runs = [
-            StreamRunSpec(system=run.system,
-                          controller=spec.build_controller(),
-                          stream=run.stream,
-                          grid_capacity=run.grid_capacity,
-                          observation=observation)
-            for run, spec, observation in zip(runs, specs, observations)]
-        noisy = StreamingBatchSimulator(
-            noisy_runs, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces).run()
-    else:
-        noisy_specs = [
-            RunSpec(system=systems[i],
-                    controller=specs[i].build_controller(traces_list[i]),
-                    traces=traces_list[i],
-                    observed=observations[i].observed_traces(
-                        traces_list[i]),
-                    grid_capacity=runs[i].grid_capacity)
-            for i in range(len(specs))]
-        results = run_group_batch(noisy_specs)
-        noisy = [ScenarioMetrics.from_result(result, seed=spec.seed)
-                 for spec, result in zip(specs, results)]
+    noisy_runs = [
+        StreamRunSpec(system=run.system,
+                      controller=spec.build_controller(traces),
+                      stream=run.stream,
+                      grid_capacity=run.grid_capacity,
+                      observation=observation_from_mapping(
+                          robustness, default_seed=spec.seed,
+                          price_cap=run.system.p_max))
+        for run, spec, traces in zip(runs, specs, traces_list)]
+    noisy = StreamingBatchSimulator(noisy_runs,
+                                    chunk_coarse=chunk_coarse).run()
     if tele is not None and tele.enabled:
         tele.add_time("robustness", tele.clock() - t0)
         tele.count("robustness_scenarios", len(specs))
@@ -329,20 +293,22 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     """Module-level worker: run one shard of serialized specs.
 
     Rebuilds every spec locally (system, controller, trace source) and
-    advances the whole shard through one engine invocation.  Returns
-    JSON-ready records so the parent can append them to the store
-    without touching numpy state.
+    advances the whole shard through one
+    :class:`~repro.fleet.engine.StreamingBatchSimulator` invocation.
+    Returns JSON-ready records so the parent can append them to the
+    store without touching numpy state.
 
-    With ``offline_gap`` (and on the in-memory path, whose oracle
-    controllers need whole horizons) the shard's traces are
-    materialized up front into one :class:`~repro.traces.base.TraceBlock`
-    by :func:`~repro.fleet.stream.materialize_block` — one vectorized
+    With ``offline_gap``, and on non-streamable shards (oracle
+    controllers need whole horizons; ``paper`` recipes have no chunk
+    kernel), the shard's traces are materialized up front into one
+    :class:`~repro.traces.base.TraceBlock` by
+    :func:`~repro.fleet.stream.materialize_block` — one vectorized
     kernel pass for ``stream`` recipes, per-source materialization
     otherwise — timed as the ``materialize`` stage.  Each scenario
-    runs over a row view of that block, and the offline baseline's LPs
-    read the same rows, so the gap column costs one compiled LP solve
-    plus one vectorized replay per scenario, not a second trace
-    generation.
+    then streams over a row view of that block, oracle controllers are
+    built from the same rows, and the offline baseline's LPs read them
+    too, so the gap column costs one compiled LP solve plus one
+    vectorized replay per scenario, not a second trace generation.
 
     With ``telemetry`` in the payload the shard owns a fresh
     :class:`~repro.telemetry.Telemetry` collector (explicitly passed
@@ -360,7 +326,6 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     specs = [ScenarioSpec.from_dict(data) for data in payload["specs"]]
     chunk_coarse = int(payload["chunk_coarse"])
     streamable = bool(payload["streamable"])
-    batch_traces = bool(payload.get("batch_traces", True))
     offline_gap = bool(payload.get("offline_gap", False))
     robustness = payload.get("robustness")
     tele = Telemetry() if payload.get("telemetry") else None
@@ -378,55 +343,26 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     observations = [spec.build_observation(system)
                     for spec, system in zip(specs, systems)]
     block = None
-    traces_list: list[TraceSet] = []
+    traces_list: list[TraceSet | None] = [None] * len(specs)
     if offline_gap or not streamable:
         materialize_t0 = tele.clock() if tele is not None else 0.0
         block = materialize_block(streams)
         traces_list = [block.scenario(index)
                        for index in range(block.n_scenarios)]
+        streams = [ArrayTraceStream(traces) for traces in traces_list]
         if tele is not None:
             tele.add_time("materialize", tele.clock() - materialize_t0)
-    if streamable:
-        if offline_gap:
-            # The policy streams over row views of the block the LP
-            # will consume.
-            streams = [ArrayTraceStream(traces) for traces in traces_list]
-        runs = [StreamRunSpec(system=system,
-                              controller=spec.build_controller(),
-                              stream=stream,
-                              observation=observation)
-                for spec, system, stream, observation
-                in zip(specs, systems, streams, observations)]
-        if tele is not None:
-            tele.add_time("build", tele.clock() - build_t0)
-        metrics = StreamingBatchSimulator(
-            runs, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces, telemetry=tele,
-            faults=faults).run()
-        engine = "stream"
-    else:
-        runs = [RunSpec(system=system,
-                        controller=spec.build_controller(traces),
-                        traces=traces,
-                        observed=(observation.observed_traces(traces)
-                                  if observation is not None else None))
-                for spec, system, traces, observation
-                in zip(specs, systems, traces_list, observations)]
-        if tele is not None:
-            tele.add_time("build", tele.clock() - build_t0)
-        if faults is not None:
-            # The in-memory engine has no chunk loop, so engine-level
-            # fire sites collapse to one pre-run check each (slot
-            # gating is meaningless here; ``nan`` faults need the
-            # streamed path — TraceSet construction above already
-            # validated finiteness).
-            faults.fire("traces")
-            faults.fire("plan")
-            faults.fire("slot_loop")
-        results = run_group_batch(runs, telemetry=tele)
-        metrics = [ScenarioMetrics.from_result(result, seed=spec.seed)
-                   for spec, result in zip(specs, results)]
-        engine = "batch"
+    runs = [StreamRunSpec(system=system,
+                          controller=spec.build_controller(traces),
+                          stream=stream,
+                          observation=observation)
+            for spec, system, stream, traces, observation
+            in zip(specs, systems, streams, traces_list, observations)]
+    if tele is not None:
+        tele.add_time("build", tele.clock() - build_t0)
+    metrics = StreamingBatchSimulator(
+        runs, chunk_coarse=chunk_coarse, telemetry=tele,
+        faults=faults).run()
 
     if offline_gap:
         metrics = _attach_offline_gap(systems, block, traces_list,
@@ -434,9 +370,8 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
                                       telemetry=tele, faults=faults)
     if robustness:
         metrics = _attach_robustness(
-            specs, systems, runs, traces_list, metrics,
+            specs, runs, traces_list, metrics,
             robustness=robustness, chunk_coarse=chunk_coarse,
-            batch_traces=batch_traces, streamable=streamable,
             telemetry=tele)
     stamped = []
     for metric, observation in zip(metrics, observations):
@@ -452,7 +387,7 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             "value": spec.value,
             "seed": spec.seed,
             "controller": spec.controller_kind,
-            "engine": engine,
+            "engine": "stream",
             # A fresh copy, not payload["specs"][i]: records are handed
             # to callers, and aliasing the runner's cached payload would
             # let a mutated record corrupt an in-process re-run.
@@ -466,14 +401,11 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     elapsed = monotonic() - t0
     snapshot = None
     if tele is not None:
-        if engine == "batch":
-            # The streamed engine counts its own scenarios.
-            tele.count("scenarios", len(specs))
         tele.add_time("shard", elapsed)
         tele.count("shards")
         snapshot = tele.snapshot(process=True).as_dict()
     return ShardOutcome(indices=tuple(payload["indices"]),
-                        records=records, engine=engine,
+                        records=records, engine="stream",
                         elapsed_s=elapsed, telemetry=snapshot)
 
 
@@ -487,8 +419,7 @@ class FleetRunner:
     batch_size:
         Maximum scenarios per engine invocation (and per worker task).
     chunk_coarse:
-        Coarse slots of trace data resident per scenario on the
-        streamed path.
+        Coarse slots of trace data resident per scenario.
     max_workers:
         ``None`` or ``<= 1`` runs shards in-process; larger values run
         them on a process pool of that size.
@@ -504,12 +435,6 @@ class FleetRunner:
         stopped.  ``False`` restores the old behavior (everything
         re-runs and re-appends; only useful to accumulate duplicate
         rows deliberately).
-    batch_traces:
-        Whether streamed shards may load trace chunks through the
-        vectorized :class:`~repro.fleet.stream.BatchTraceStream`
-        kernels (default).  ``False`` forces the per-scenario scalar
-        cursors — bit-identical, and what the trace benchmark uses as
-        its baseline.
     offline_gap:
         Compute the clairvoyant offline baseline per scenario and add
         ``offline_cost`` / ``offline_gap`` columns to every record.
@@ -575,7 +500,6 @@ class FleetRunner:
                  chunk_coarse: int = DEFAULT_CHUNK_COARSE,
                  max_workers: int | None = None,
                  store=None, resume: bool = True,
-                 batch_traces: bool = True,
                  offline_gap: bool = False,
                  telemetry: bool = False,
                  max_retries: int = 2,
@@ -612,7 +536,6 @@ class FleetRunner:
         self.max_workers = max_workers
         self.store = store
         self.resume = resume
-        self.batch_traces = batch_traces
         self.offline_gap = offline_gap
         self.telemetry = bool(telemetry)
         self.max_retries = max_retries
@@ -668,7 +591,6 @@ class FleetRunner:
                     "specs": [self.specs[i].to_dict() for i in shard],
                     "chunk_coarse": self.chunk_coarse,
                     "streamable": bool(key[-1]),
-                    "batch_traces": self.batch_traces,
                     "offline_gap": self.offline_gap,
                     "robustness": self.robustness,
                     "telemetry": self.telemetry,
@@ -1094,7 +1016,6 @@ class FleetRunner:
             workers=workers,
             batch_size=self.batch_size,
             chunk_coarse=self.chunk_coarse,
-            batch_traces=self.batch_traces,
             offline_gap=self.offline_gap,
             elapsed_s=elapsed_s,
             snapshot=merged,
@@ -1104,57 +1025,3 @@ class FleetRunner:
         self.last_manifest = manifest
         if self.store is not None:
             self.store.append_manifest(manifest.as_dict())
-
-
-# ----------------------------------------------------------------------
-# Process-sharded execution of in-memory RunSpec lists
-# ----------------------------------------------------------------------
-
-
-def simulate_many_process(runs: Sequence[RunSpec],
-                          max_workers: int | None = None
-                          ) -> list[SimulationResult]:
-    """Shard batch groups of in-memory runs across a process pool.
-
-    The grouping is exactly ``simulate_many(..., executor="batch")``'s;
-    each group is split into roughly per-worker shards and every shard
-    advances through one vectorized :class:`BatchSimulator` in its
-    worker (singleton shards run the scalar engine, as the batch
-    executor does) — so results are bit-identical to the ``"batch"``
-    and ``"serial"`` executors while using every core.
-    """
-    from repro.sim.batch import _group_key  # late: avoid import cycle
-
-    runs = list(runs)
-    if not runs:
-        return []
-    workers = max_workers or _cpu_count()
-
-    groups: dict[object, list[int]] = {}
-    for index, run in enumerate(runs):
-        groups.setdefault(_group_key(run), []).append(index)
-
-    # Split each group proportionally so ~``workers`` shards exist in
-    # total and every shard still amortizes vectorization.
-    shards: list[list[int]] = []
-    for indices in groups.values():
-        share = max(1, round(len(indices) * workers / len(runs)))
-        shard_size = math.ceil(len(indices) / share)
-        shards.extend(_split_shards(indices, shard_size))
-
-    results: list[SimulationResult | None] = [None] * len(runs)
-    if workers <= 1 or len(shards) <= 1:
-        for shard in shards:
-            for index, result in zip(
-                    shard, run_group_batch([runs[i] for i in shard])):
-                results[index] = result
-        return results  # type: ignore[return-value]
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-        futures = {
-            pool.submit(run_group_batch, [runs[i] for i in shard]): shard
-            for shard in shards}
-        for future, shard in futures.items():
-            for index, result in zip(shard, future.result()):
-                results[index] = result
-    return results  # type: ignore[return-value]

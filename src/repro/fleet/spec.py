@@ -19,7 +19,8 @@ Spec layout
     ``impatient``, ``myopic``, ``lookahead``, ``offline``.  Options for
     ``smartdpss`` are :class:`~repro.config.control.SmartDPSSConfig`
     fields.  ``lookahead`` / ``offline`` are oracle policies that need
-    the whole horizon up front, so they force the in-memory engine.
+    the whole horizon up front, so their shards materialize traces
+    before streaming over them.
     ``offline`` options mirror
     :class:`~repro.baselines.offline.OfflineOptimal` — notably
     ``deadline_slots`` is ``int >= 1`` or ``None`` (unconstrained),
@@ -54,6 +55,7 @@ with seed replicas for the aggregation layer to average back out.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -62,6 +64,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.baselines.impatient import ImpatientController
+from repro.baselines.lookahead import LookaheadController
+from repro.baselines.myopic import MyopicPriceThreshold
+from repro.baselines.offline import OfflineOptimal
 from repro.config.control import SmartDPSSConfig
 from repro.config.presets import paper_system_config
 from repro.config.system import SystemConfig
@@ -156,30 +162,26 @@ def _smartdpss_config(options: Mapping[str, object]) -> SmartDPSSConfig:
         return SmartDPSSConfig(**options)
 
 
-def _controller_factory(kind: str) -> Callable:
-    if kind == "smartdpss":
-        return lambda options, traces: SmartDPSS(
-            _smartdpss_config(options))
-    if kind == "impatient":
-        from repro.baselines.impatient import ImpatientController
+def _declared(target: Callable, skip: int = 0) -> frozenset[str]:
+    """Keyword parameters of ``target``, past its first ``skip``."""
+    return frozenset(list(inspect.signature(target).parameters)[skip:])
 
-        return lambda options, traces: ImpatientController(**options)
-    if kind == "myopic":
-        from repro.baselines.myopic import MyopicPriceThreshold
 
-        return lambda options, traces: MyopicPriceThreshold(**options)
-    if kind == "lookahead":
-        from repro.baselines.lookahead import LookaheadController
-
-        return lambda options, traces: LookaheadController(
-            traces, **options)
-    if kind == "offline":
-        from repro.baselines.offline import OfflineOptimal
-
-        return lambda options, traces: OfflineOptimal(traces, **options)
-    raise ConfigurationError(
-        f"unknown controller kind {kind!r}; expected one of "
-        f"{CONTROLLER_KINDS}")
+#: Per controller kind: the builder ``(options, traces) -> Controller``
+#: and the option names its target declares (the oracles' leading
+#: ``traces`` parameter is filled by the runner, not by the spec).
+_CONTROLLERS: dict[str, tuple[Callable, frozenset[str]]] = {
+    "smartdpss": (lambda options, traces: SmartDPSS(
+        _smartdpss_config(options)), _declared(SmartDPSSConfig)),
+    "impatient": (lambda options, traces: ImpatientController(**options),
+                  _declared(ImpatientController)),
+    "myopic": (lambda options, traces: MyopicPriceThreshold(**options),
+               _declared(MyopicPriceThreshold)),
+    "lookahead": (lambda options, traces: LookaheadController(
+        traces, **options), _declared(LookaheadController, skip=1)),
+    "offline": (lambda options, traces: OfflineOptimal(
+        traces, **options), _declared(OfflineOptimal, skip=1)),
+}
 
 
 @dataclass(frozen=True)
@@ -323,11 +325,21 @@ class ScenarioSpec:
         """Instantiate the controller (oracles receive ``traces``)."""
         options = dict(self.controller)
         kind = str(options.pop("kind", "smartdpss"))
+        if kind not in _CONTROLLERS:
+            raise ConfigurationError(
+                f"unknown controller kind {kind!r}; expected one of "
+                f"{CONTROLLER_KINDS}")
+        build, declared = _CONTROLLERS[kind]
+        unknown = sorted(set(options) - declared)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {kind!r} controller options {unknown}; "
+                f"expected some of {sorted(declared)}")
         if kind in ("lookahead", "offline") and traces is None:
             raise ConfigurationError(
                 f"{kind!r} is an oracle controller and needs the "
                 f"materialized traces")
-        return _controller_factory(kind)(options, traces)
+        return build(options, traces)
 
     def build_observation(self, system: SystemConfig | None = None):
         """The :class:`~repro.fleet.observe.ObservationSpec` this spec

@@ -64,7 +64,7 @@ from repro.telemetry.core import TELEMETRY_OFF
 from repro.traces.base import TraceSet
 
 #: Executor names accepted by :func:`simulate_many` / ``Sweep.run``.
-EXECUTORS = ("serial", "batch", "process")
+EXECUTORS = ("serial", "batch")
 
 
 @dataclass(frozen=True)
@@ -803,34 +803,13 @@ def _group_key(run: RunSpec):
     return (*shape, "scalar", None)
 
 
-def _run_spec_scalar(spec: RunSpec) -> SimulationResult:
-    """Module-level worker (process executor needs a picklable callable)."""
+def _run_scalar(spec: RunSpec) -> SimulationResult:
     return Simulator(spec.system, spec.controller, spec.traces,
                      observed=spec.observed,
                      grid_capacity=spec.grid_capacity).run()
 
 
-def run_group_batch(group_runs: Sequence[RunSpec],
-                    telemetry=None) -> list[SimulationResult]:
-    """Drive one compatible group through the vectorized engine.
-
-    Deduplicates shared controller objects first (scalar sweeps may
-    legally reuse one instance across runs) and falls back to the
-    scalar engine for singleton groups, exactly as the ``"batch"``
-    executor does — the process-sharded path reuses this so both
-    executors stay bit-identical.  ``telemetry`` is the shard's
-    collector (``None`` = off).
-    """
-    if len(group_runs) == 1:
-        return [_run_spec_scalar(group_runs[0])]
-    specs = [RunSpec(system=r.system, controller=c, traces=r.traces,
-                     observed=r.observed, grid_capacity=r.grid_capacity)
-             for r, c in zip(group_runs, _distinct_controllers(group_runs))]
-    return BatchSimulator(specs, telemetry=telemetry).run()
-
-
-def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",
-                  max_workers: int | None = None
+def simulate_many(runs: Sequence[RunSpec], executor: str = "batch"
                   ) -> list[SimulationResult]:
     """Run many simulations, returning results in input order.
 
@@ -842,32 +821,18 @@ def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",
       each group through :class:`BatchSimulator` (vectorized SmartDPSS
       where the whole group is SmartDPSS with one objective mode, the
       scalar-controller adapter otherwise; singleton groups just run
-      scalar);
-    * ``"process"`` — shard whole *vectorized batch groups* across a
-      process pool (``max_workers`` caps the pool size): runs are
-      grouped exactly as ``"batch"`` groups them, each group is split
-      into per-worker shards, and every worker advances its shard
-      through :class:`BatchSimulator` — so multi-core fan-out and
-      vectorization multiply instead of falling back to scalar runs.
-      Results are bit-identical to ``"batch"`` (and hence to
-      ``"serial"``).  Implemented by
-      :func:`repro.fleet.runner.simulate_many_process`.
+      scalar).
+
+    Both are bit-identical.  Multi-core fan-out belongs to the fleet
+    layer (:class:`repro.fleet.runner.FleetRunner` with
+    ``max_workers``).
     """
     if executor not in EXECUTORS:
         raise ConfigurationError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     runs = list(runs)
-    if not runs:
-        return []
-
     if executor == "serial":
-        return [_run_spec_scalar(run) for run in runs]
-
-    if executor == "process":
-        # Late import: the fleet subsystem builds on this module.
-        from repro.fleet.runner import simulate_many_process
-
-        return simulate_many_process(runs, max_workers=max_workers)
+        return [_run_scalar(run) for run in runs]
 
     groups: dict[object, list[int]] = {}
     for index, run in enumerate(runs):
@@ -875,7 +840,9 @@ def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",
 
     results: list[SimulationResult | None] = [None] * len(runs)
     for indices in groups.values():
-        group_results = run_group_batch([runs[i] for i in indices])
+        group = [runs[i] for i in indices]
+        group_results = ([_run_scalar(group[0])] if len(group) == 1
+                         else BatchSimulator(group).run())
         for index, result in zip(indices, group_results):
             results[index] = result
     return results  # type: ignore[return-value]

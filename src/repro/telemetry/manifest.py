@@ -122,7 +122,7 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
                    executed: int, skipped: int, shards: int,
                    engines: Mapping[str, int], workers: int,
                    batch_size: int, chunk_coarse: int,
-                   batch_traces: bool, offline_gap: bool, elapsed_s: float,
+                   offline_gap: bool, elapsed_s: float,
                    snapshot: TelemetrySnapshot,
                    caches: Mapping | None = None,
                    created_at: str | None = None) -> RunManifest:
@@ -149,7 +149,6 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
             "workers": int(workers),
             "batch_size": int(batch_size),
             "chunk_coarse": int(chunk_coarse),
-            "batch_traces": bool(batch_traces),
             "offline_gap": bool(offline_gap),
         },
         timing={

@@ -34,8 +34,8 @@ def stream_fleet() -> list[ScenarioSpec]:
 
 
 def batch_fleet() -> list[ScenarioSpec]:
-    # trace kind "paper" is not streamable, so these route to the
-    # in-memory batch engine.
+    # trace kind "paper" has no chunk kernel, so these shards
+    # materialize their traces before streaming over them.
     template = ScenarioSpec(
         system={"preset": "paper", "days": 1,
                 "fine_slots_per_coarse": 6},
@@ -66,7 +66,7 @@ class TestBitIdentity:
         off = run_records(specs, telemetry=False)
         on = run_records(specs, telemetry=True)
         assert canonical(on) == canonical(off)
-        assert all(r["engine"] == "batch" for r in on)
+        assert all(r["engine"] == "stream" for r in on)
 
     @pytest.mark.slow
     def test_process_pool(self):

@@ -7,8 +7,6 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro.exceptions import ConfigurationError, TraceError
 from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
-from repro.fleet.runner import FleetRunner
-from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.stream import (
     ArrayTraceStream,
     BatchTraceStream,
@@ -120,29 +118,33 @@ class TestTraceBlock:
 
 
 class TestEngineWiring:
-    def _runs(self, batch=3):
+    def _runs(self, batch=3, materialized=False):
         system = paper_system_config(days=2, fine_slots_per_coarse=6)
-        return [
-            StreamRunSpec(system=system,
-                          controller=SmartDPSS(paper_controller_config()),
-                          stream=StreamingPaperTraces(
-                              system.horizon_slots, seed=seed,
-                              clip_p_grid=system.p_grid))
-            for seed in range(batch)]
+        runs = []
+        for seed in range(batch):
+            stream = StreamingPaperTraces(system.horizon_slots, seed=seed,
+                                          clip_p_grid=system.p_grid)
+            if materialized:
+                stream = ArrayTraceStream(stream.materialize())
+            runs.append(StreamRunSpec(
+                system=system,
+                controller=SmartDPSS(paper_controller_config()),
+                stream=stream))
+        return runs
 
     def test_batch_and_scalar_paths_identical(self):
         batched = StreamingBatchSimulator(self._runs(),
                                           chunk_coarse=2).run()
-        scalar = StreamingBatchSimulator(self._runs(), chunk_coarse=2,
-                                         batch_traces=False).run()
+        # Resident sources load through the per-scenario cursors.
+        scalar = StreamingBatchSimulator(
+            self._runs(materialized=True), chunk_coarse=2).run()
         assert [m.as_dict() for m in batched] \
             == [m.as_dict() for m in scalar]
 
     def test_batch_source_detection(self):
         engine = StreamingBatchSimulator(self._runs())
         assert engine._batch_source is not None
-        engine = StreamingBatchSimulator(self._runs(),
-                                         batch_traces=False)
+        engine = StreamingBatchSimulator(self._runs(materialized=True))
         assert engine._batch_source is None
 
     def test_array_stream_falls_back_to_cursors(self):
@@ -156,19 +158,6 @@ class TestEngineWiring:
         engine = StreamingBatchSimulator(runs)
         assert engine._batch_source is None
         assert len(engine.run()) == 1
-
-    def test_fleet_runner_batch_traces_knob(self):
-        template = ScenarioSpec(
-            system={"preset": "paper", "days": 1,
-                    "fine_slots_per_coarse": 6},
-            trace={"kind": "stream"})
-        specs = grid_specs(template, "controller.v", [0.5, 2.0],
-                           seeds=(0, 1))
-        fast = FleetRunner(specs, batch_size=4).run()
-        slow = FleetRunner(specs, batch_size=4,
-                           batch_traces=False).run()
-        assert fast == slow
-        assert all(record["engine"] == "stream" for record in fast)
 
 
 class TestPlanningTailGuard:

@@ -206,6 +206,30 @@ class TestSerialRecovery:
         assert [records[i] for i in (0, 1, 3, 4, 5)] == \
             [reference[i] for i in (0, 1, 3, 4, 5)]
 
+    def test_nan_on_paper_fleet_quarantines_poisoned_scenario(
+            self, tmp_path):
+        # ``paper`` recipes stream over materialized rows, so chunk
+        # corruption and its typed quarantine reach them too.
+        template = ScenarioSpec.from_dict(
+            {**tiny_template().to_dict(), "trace": {"kind": "paper"}})
+        paper = grid_specs(template, "controller.v", [0.2, 1.0],
+                           seeds=(0, 1))
+        clean = FleetRunner(paper, batch_size=4,
+                            fault_plan=FaultPlan()).run()
+        store = ResultStore(tmp_path / "s")
+        plan = FaultPlan(faults=(
+            Fault(site="traces", action="nan", scenario=paper[1].name,
+                  slot=7, series="demand_dt"),))
+        runner, records = run_chaos(paper, plan, store=store)
+        assert runner.last_run_stats["quarantined"] == 1
+        assert runner.last_run_stats["bisections"] == 0
+        (error,) = store.errors()
+        assert error["name"] == paper[1].name
+        assert error["error"]["type"] == "TraceCorruptionError"
+        assert "slot 7" in error["error"]["message"]
+        assert [records[i] for i in (0, 2, 3)] == \
+            [clean[i] for i in (0, 2, 3)]
+
     def test_lp_failure_degrades_offline_columns_only(self, fleet):
         baseline = FleetRunner(fleet, batch_size=4, offline_gap=True,
                                fault_plan=FaultPlan()).run()

@@ -1,7 +1,7 @@
 """Shard materialization: one BatchTraceStream pass instead of B cursors.
 
-The fleet runner materializes offline-gap shards (and in-memory oracle
-shards) through :func:`~repro.fleet.stream.materialize_block`.  These
+The fleet runner materializes offline-gap shards (and oracle or
+``paper``-trace shards) through :func:`~repro.fleet.stream.materialize_block`.  These
 tests pin that its rows equal each spec's scalar ``build_traces``
 series by series and in meta, that the offline-gap path never touches
 the per-scenario scalar cursor for kernel-backed sources, and the
@@ -21,7 +21,7 @@ from repro.fleet.stream import (
     _PaperStreamCursor,
     materialize_block,
 )
-from repro.sim.batch import RunSpec, run_group_batch
+from repro.sim.engine import Simulator
 from repro.traces.base import SERIES_FIELDS, TraceBlock
 
 pytestmark = pytest.mark.fleet
@@ -81,6 +81,19 @@ def _raising_read(self, n_slots):
     raise AssertionError("scalar trace cursor used")
 
 
+def _scalar_oracle(specs) -> list[dict]:
+    """Each spec through the scalar ``Simulator``, folded into metrics."""
+    out = []
+    for spec in specs:
+        system = spec.build_system()
+        traces = spec.build_traces(system)
+        result = Simulator(system, spec.build_controller(traces),
+                           traces).run()
+        out.append(ScenarioMetrics.from_result(
+            result, seed=spec.seed).as_dict())
+    return out
+
+
 class TestShardParity:
     def test_gap_shard_rows_equal_build_traces(self):
         specs = _shard_specs(FleetRunner(_gap_specs(), offline_gap=True))
@@ -103,7 +116,7 @@ class TestShardParity:
 
     def test_oracle_shard_rows_equal_build_traces(self):
         specs = _shard_specs(FleetRunner(_oracle_specs()))
-        assert not specs[0].streamable  # in-memory branch
+        assert not specs[0].streamable  # materializing branch
         streams = [spec.open_stream(spec.build_system()) for spec in specs]
         _assert_rows_match_build_traces(specs, materialize_block(streams))
 
@@ -126,8 +139,8 @@ class TestShardParity:
 class TestNoScalarCursor:
     def test_offline_gap_run_never_reads_scalar_cursor(self, monkeypatch):
         specs = _gap_specs()
-        # Reference: the per-scenario scalar cursors drive the policy.
-        reference = FleetRunner(specs, batch_traces=False).run()
+        # Reference: the scalar engine on each spec's own traces.
+        reference = _scalar_oracle(specs)
         monkeypatch.setattr(_PaperStreamCursor, "read", _raising_read)
         records = FleetRunner(specs, offline_gap=True).run()
         gap_keys = ("offline_cost", "offline_gap")
@@ -135,7 +148,7 @@ class TestNoScalarCursor:
             metrics = dict(record["metrics"])
             for key in gap_keys:
                 metrics.pop(key, None)
-            assert metrics == expected["metrics"]
+            assert metrics == expected
         # Pgrid = 0 makes the raw scenario's LP infeasible: the
         # per-scenario fallback (one-row block) degrades only it.
         assert all(key in records[0]["metrics"] for key in gap_keys)
@@ -143,20 +156,11 @@ class TestNoScalarCursor:
 
     def test_oracle_fleet_never_reads_scalar_cursor(self, monkeypatch):
         specs = _oracle_specs()
-        reference = []
-        for spec in specs:
-            system = spec.build_system()
-            traces = spec.build_traces(system)
-            result = run_group_batch([RunSpec(
-                system=system, controller=spec.build_controller(traces),
-                traces=traces)])[0]
-            reference.append(
-                ScenarioMetrics.from_result(result, seed=spec.seed))
+        reference = _scalar_oracle(specs)
         monkeypatch.setattr(_PaperStreamCursor, "read", _raising_read)
         records = FleetRunner(specs).run()
-        assert [r["engine"] for r in records] == ["batch"] * len(specs)
-        assert [r["metrics"] for r in records] == [
-            metric.as_dict() for metric in reference]
+        assert [r["engine"] for r in records] == ["stream"] * len(specs)
+        assert [r["metrics"] for r in records] == reference
 
 
 class TestTraceBlockRows:

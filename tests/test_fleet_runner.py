@@ -94,15 +94,15 @@ class TestRun:
         assert len(store) == 6
 
     def test_mixed_engine_fleet(self):
-        """Streamed SmartDPSS + in-memory oracle in one fleet."""
+        """Chunk-streamed SmartDPSS + a materialized paper-trace shard
+        in one fleet, all on the streamed engine."""
         specs = tiny_fleet()[:2]
         data = tiny_template().to_dict()
         data["controller"] = {"kind": "impatient"}
         data["trace"] = {"kind": "paper"}
         specs.append(ScenarioSpec.from_dict(data))
         records = FleetRunner(specs).run()
-        assert [r["engine"] for r in records] == ["stream", "stream",
-                                                  "batch"]
+        assert [r["engine"] for r in records] == ["stream"] * 3
         assert records[2]["controller"] == "impatient"
 
     def test_empty_fleet_rejected(self):

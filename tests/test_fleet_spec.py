@@ -101,6 +101,19 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match="trace kind"):
             ScenarioSpec.from_dict(data).open_stream()
 
+    @pytest.mark.parametrize("kind", ["smartdpss", "impatient",
+                                      "lookahead"])
+    def test_unknown_controller_option_rejected(self, kind):
+        data = small_template().to_dict()
+        data["controller"] = {"kind": kind, "vv": 1}
+        spec = ScenarioSpec.from_dict(data)
+        # Rejected by name before anything is built (oracles included:
+        # the check runs before the traces are required).
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown '{kind}' controller "
+                                 rf"options \['vv'\]"):
+            spec.build_controller()
+
     def test_unknown_trace_option_rejected(self):
         data = small_template().to_dict()
         data["trace"] = {"kind": "stream", "wibble": 3}

@@ -125,6 +125,11 @@ class TestSimulateMany:
         with pytest.raises(ConfigurationError):
             simulate_many([_spec()], executor="threads")
 
+    def test_process_executor_retired(self):
+        # Multi-core fan-out lives in FleetRunner(max_workers=...).
+        with pytest.raises(ConfigurationError, match="process"):
+            simulate_many([_spec()], executor="process")
+
     def test_mixed_objective_modes_grouped_not_rejected(self):
         runs = [_spec(seed=1, objective_mode="derived"),
                 _spec(seed=2, objective_mode="paper"),

@@ -152,7 +152,7 @@ class TestManifest:
         kwargs = dict(
             spec_hashes=["aa", "bb"], scenarios=2, executed=2,
             skipped=0, shards=1, engines={"stream": 1}, workers=1,
-            batch_size=4, chunk_coarse=4, batch_traces=True,
+            batch_size=4, chunk_coarse=4,
             offline_gap=False, elapsed_s=2.0,
             snapshot=snapshot or TelemetrySnapshot(),
         )
@@ -171,6 +171,7 @@ class TestManifest:
             fleet_content_hash(["aa", "bb"])
         assert "backend" not in manifest.config
         assert "workspace" not in manifest.config
+        assert "batch_traces" not in manifest.config
         assert "backend=" not in manifest.render()
         assert manifest.version == 1
 
@@ -245,7 +246,8 @@ class TestStoreManifests:
     def test_manifest_with_retired_config_keys_still_renders(
             self, tmp_path, capsys):
         """Stores written when the manifest config still carried the
-        ``workspace`` and ``backend`` keys keep loading and rendering."""
+        ``batch_traces``, ``workspace`` and ``backend`` keys keep
+        loading and rendering."""
         from repro.fleet.__main__ import main
 
         store = ResultStore(tmp_path / "s")
